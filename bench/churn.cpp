@@ -94,12 +94,6 @@ Outcome run() {
   RouteEpochKeeper keeper(net, lsr, paths, Duration::millis(1300));
 
   std::vector<double> changes;  ///< route-change times (s), for reconvergence
-#if !FATIH_TRACE
-  // Instrumentation compiled out: fall back to the direct hook so the
-  // smoke invariants stay checkable in a -DFATIH_TRACE=0 build.
-  lsr.add_route_change_hook(
-      [&changes](NodeId, SimTime when) { changes.push_back(when.seconds()); });
-#endif
   lsr.start();
 
   Pik2Config cfg;
@@ -113,18 +107,6 @@ Outcome run() {
   Pik2Engine engine(net, keys, paths, {kSunnyvale, kNewYork}, cfg);
 
   Outcome out;
-#if !FATIH_TRACE
-  engine.set_suspicion_handler([&out, &net](const Suspicion& s) {
-    if (!s.segment.contains(kKansasCity)) return;
-    const double now = net.sim().now().seconds();
-    if (out.detection_latency_before_s < 0 && now < kFlapDownS) {
-      out.detection_latency_before_s = now - kAttackStartS;
-    }
-    if (out.detection_latency_after_s < 0 && now > kFlapUpS) {
-      out.detection_latency_after_s = now - kFlapUpS;
-    }
-  });
-#endif
   engine.start();
 
   // Coast-to-coast traffic over the northern path, through Kansas City.
@@ -157,7 +139,6 @@ Outcome run() {
 
   net.sim().run_until(SimTime::from_seconds(kEndS));
 
-#if FATIH_TRACE
   // Replay the trace instead of having installed bespoke hooks: route
   // changes carry the reconvergence story, and the i-th kSuspicion event
   // carries the raise time of the i-th engine suspicion (both append in
@@ -168,7 +149,6 @@ Outcome run() {
     changes.push_back(ev.at.seconds());
   }
   const auto raised = timeline.select(obs::TraceCategory::kSuspicion);
-#endif
   const auto& suspicions = engine.suspicions();
   for (std::size_t i = 0; i < suspicions.size(); ++i) {
     const Suspicion& s = suspicions[i];
@@ -177,7 +157,6 @@ Outcome run() {
       std::printf("false suspicion: %s\n", s.to_string().c_str());
       continue;
     }
-#if FATIH_TRACE
     if (i >= raised.size()) continue;
     const double when = raised[i].at.seconds();
     if (out.detection_latency_before_s < 0 && when < kFlapDownS) {
@@ -186,7 +165,6 @@ Outcome run() {
     if (out.detection_latency_after_s < 0 && when > kFlapUpS) {
       out.detection_latency_after_s = when - kFlapUpS;
     }
-#endif
   }
 
   const auto reconv = [&changes](double event, double window_end) {

@@ -156,9 +156,6 @@ int main() {
                                          obs::TraceCategory::kRoute});
 
   std::printf("-- event timeline --\n");
-#if !FATIH_TRACE
-  std::printf("  (tracing compiled out: timeline empty)\n");
-#endif
   std::size_t printed = 0;
   for (const auto& ev : entries) {
     std::printf("t=%8.3fs  %s\n", ev.at.seconds(), ev.label.c_str());

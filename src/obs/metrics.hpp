@@ -16,10 +16,8 @@
 #include <string>
 #include <string_view>
 
-#include "obs/trace.hpp"  // FATIH_TRACE gate
 #include "util/stats.hpp"
 
-#if FATIH_TRACE
 /// Calls through a metric handle pointer iff it is resolved:
 ///   FATIH_METRIC(pc.enqueued, inc());
 #define FATIH_METRIC(handle, call)                                       \
@@ -37,14 +35,6 @@
       fatih_metric_reg_->call;                                                \
     }                                                                         \
   } while (0)
-#else
-#define FATIH_METRIC(handle, call) \
-  do {                             \
-  } while (0)
-#define FATIH_METRIC_REG(registry, call) \
-  do {                                   \
-  } while (0)
-#endif
 
 namespace fatih::obs {
 

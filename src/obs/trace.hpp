@@ -9,9 +9,7 @@
 // lets benches replay a sink instead of installing bespoke hooks.
 //
 // Cost model:
-//   * compiled out (FATIH_TRACE=0): the FATIH_TRACE_EMIT macro expands to
-//     nothing — call arguments are never evaluated, zero overhead;
-//   * compiled in, no sink attached: one pointer load and branch;
+//   * no sink attached: one pointer load and branch;
 //   * attached but category disabled: one array-indexed flag test;
 //   * recording: a struct copy into a preallocated ring slot (events are
 //     overwritten oldest-first past capacity, with the loss counted).
@@ -26,14 +24,6 @@
 #include "util/time.hpp"
 #include "util/types.hpp"
 
-// Compile-time gate for all trace/metrics instrumentation in the hot
-// paths. Defaults on; configure with -DFATIH_TRACE=0 (CMake option
-// FATIH_TRACE) to compile every touch-point out entirely.
-#ifndef FATIH_TRACE
-#define FATIH_TRACE 1
-#endif
-
-#if FATIH_TRACE
 /// Emits through `sink` (an obs::TraceSink*) iff it is attached:
 ///   FATIH_TRACE_EMIT(sim.trace(), drop(now, code, a, b, uid));
 #define FATIH_TRACE_EMIT(sink, call)                                      \
@@ -42,11 +32,6 @@
       fatih_trace_sink_->call;                                            \
     }                                                                     \
   } while (0)
-#else
-#define FATIH_TRACE_EMIT(sink, call) \
-  do {                               \
-  } while (0)
-#endif
 
 namespace fatih::obs {
 

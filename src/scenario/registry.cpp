@@ -307,8 +307,8 @@ std::vector<ScenarioSpec> build_all() {
   }
 
   {
-    // The Abilene forwarding substrate (bench/perf_scenarios.hpp) with a
-    // Pi(k+2) overlay on two coast-to-coast pairs.
+    // The Abilene forwarding substrate (static shortest-path routes over
+    // the 11 PoPs) with a Pi(k+2) overlay on two coast-to-coast pairs.
     ScenarioSpec s;
     s.name = "abilene_pik2_clean";
     s.topology = TopologyKind::kAbilene;

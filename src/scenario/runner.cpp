@@ -167,7 +167,7 @@ struct ScenarioRun::Impl {
   void build_topology() {
     switch (spec.topology) {
       case TopologyKind::kLine4: {
-        for (int i = 0; i < 4; ++i) net.add_router("r" + std::to_string(i));
+        for (int i = 0; i < 4; ++i) net.add_router(std::string("r").append(std::to_string(i)));
         sim::LinkConfig cfg;
         cfg.bandwidth_bps = 1e8;
         cfg.delay = Duration::millis(1);
@@ -226,7 +226,7 @@ struct ScenarioRun::Impl {
       case TopologyKind::kGenerated: {
         const topo::GeneratedTopology& g = *gen;
         for (std::uint32_t n = 0; n < g.routers(); ++n) {
-          net.add_router("g" + std::to_string(n));
+          net.add_router(std::string("g").append(std::to_string(n)));
         }
         for (const topo::GenLink& l : g.links) {
           sim::LinkConfig cfg;

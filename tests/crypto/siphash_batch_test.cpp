@@ -80,13 +80,23 @@ TEST(SipHashBatch, AllLevelsMatchScalarLen40) { check_all_levels_for_length<40>(
 
 TEST(SipHashBatch, FixedPathMatchesGeneralHash) {
   // The cached-schedule fixed path (which the batch kernels mirror) must
-  // agree with the one-shot keyed hash for the lengths in use.
-  const SipKey key{0xDEADBEEFCAFEF00DULL, 0x0123456789ABCDEFULL};
-  const SipSchedule sched(key);
-  const auto buf = make_messages(40, 42);
-  EXPECT_EQ(siphash24_fixed<8>(sched, buf.data()), siphash24(key, buf.data(), 8));
-  EXPECT_EQ(siphash24_fixed<16>(sched, buf.data()), siphash24(key, buf.data(), 16));
-  EXPECT_EQ(siphash24_fixed<40>(sched, buf.data()), siphash24(key, buf.data(), 40));
+  // agree with the one-shot keyed hash for the lengths in use, under one
+  // fixed key and under 64 rotating keys (the shape per-segment roles see:
+  // one schedule per key, interleaved).
+  std::vector<SipKey> keys{SipKey{0xDEADBEEFCAFEF00DULL, 0x0123456789ABCDEFULL}};
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    keys.push_back(SipKey{0x0123456789ABCDEFULL ^ (k * 0x9E3779B97F4A7C15ULL),
+                          0xFEDCBA9876543210ULL ^ (k * 0xC2B2AE3D27D4EB4FULL)});
+  }
+  std::vector<SipSchedule> scheds(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < 4 * keys.size(); ++i) {
+    const std::size_t k = i % keys.size();
+    const auto buf = make_messages(40, 42 + i);
+    EXPECT_EQ(siphash24_fixed<8>(scheds[k], buf.data()), siphash24(keys[k], buf.data(), 8));
+    EXPECT_EQ(siphash24_fixed<16>(scheds[k], buf.data()), siphash24(keys[k], buf.data(), 16));
+    EXPECT_EQ(siphash24_fixed<40>(scheds[k], buf.data()), siphash24(keys[k], buf.data(), 40))
+        << "key " << k;
+  }
 }
 
 TEST(SipHashBatch, ForcedScalarFallback) {

@@ -28,7 +28,7 @@ using util::SimTime;
 
 std::shared_ptr<routing::RoutingTables> diamond_tables(bool with_primary) {
   sim::Network net(1);
-  for (int i = 0; i < 4; ++i) net.add_router("r" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) net.add_router(std::string("r").append(std::to_string(i)));
   auto link = [&](NodeId a, NodeId b, std::uint32_t metric) {
     sim::LinkConfig cfg;
     cfg.bandwidth_bps = 1e8;

@@ -281,7 +281,6 @@ TEST(ReliableChannel, GenuineAckSettlesDespiteSpoofingNoise) {
   EXPECT_EQ(h.channel->in_flight(), 0U);
 }
 
-#if FATIH_TRACE
 TEST(ReliableChannel, RegistryCountersMirrorChannelStats) {
   // The observability layer counts what the channel counts: after a lossy
   // run, every reliable.* registry counter equals the Stats field the
@@ -302,7 +301,6 @@ TEST(ReliableChannel, RegistryCountersMirrorChannelStats) {
   EXPECT_EQ(metrics.counter_value("reliable.acks_received"), s.acks_received);
   EXPECT_EQ(metrics.counter_value("reliable.duplicates"), s.duplicates);
 }
-#endif  // FATIH_TRACE
 
 TEST(ReliableChannel, RtoAdaptsDownOnFastLinks) {
   ChannelHarness h;

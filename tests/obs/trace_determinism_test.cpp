@@ -4,11 +4,13 @@
 // metrics snapshots. This is the property that makes the trace sink a
 // legitimate test/bench instrument — if observation perturbed the run or
 // recorded nondeterministically, figure regeneration and trace-based
-// assertions would be meaningless.
+// assertions would be meaningless. The same run with nothing attached
+// must also match the observed one: a sink observes, it never perturbs.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "attacks/attacks.hpp"
 #include "detection/chi.hpp"
@@ -18,8 +20,6 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "tests/detection/churn_net.hpp"
-
-#if FATIH_TRACE
 
 namespace fatih::detection {
 namespace {
@@ -39,14 +39,25 @@ struct RunRecord {
   DetectorCounters pik2_counters;
   DetectorCounters chi_counters;
   ReliableChannel::Stats reliable;
+  std::vector<std::string> suspicions;  ///< pi2, then pik2, then chi
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  std::uint64_t dispatched = 0;
 };
 
-RunRecord run_once(std::uint64_t seed) {
+RunRecord run_once(std::uint64_t seed, bool observed = true) {
   obs::TraceSink sink;
   obs::MetricsRegistry metrics;
 
+  RunRecord rec;
   testing::ChurnNet n(seed);
-  n.net.attach_observability(&sink, &metrics);
+  if (observed) n.net.attach_observability(&sink, &metrics);
+  for (util::NodeId r = 0; r < 4; ++r) {
+    n.net.router(r).add_forward_tap(
+        [&rec](const sim::Packet&, util::NodeId, std::size_t, SimTime) { ++rec.forwarded; });
+    n.net.router(r).add_local_handler(
+        [&rec](const sim::Packet&, util::NodeId, SimTime) { ++rec.delivered; });
+  }
   n.add_cbr(0, 2, /*flow=*/1, /*pps=*/400.0, /*start=*/2.05, /*stop=*/16.5);
 
   attacks::FlowMatch match;
@@ -88,10 +99,9 @@ RunRecord run_once(std::uint64_t seed) {
   pi2->start();
   pik2->start();
   chi->start();
-  sink.annotate(SimTime::origin(), "COMMISSION");
+  if (observed) sink.annotate(SimTime::origin(), "COMMISSION");
   n.net.sim().run_until(SimTime::from_seconds(kEndS));
 
-  RunRecord rec;
   rec.trace_jsonl = sink.to_jsonl();
   rec.metrics_json = metrics.to_json();
   rec.trace_recorded = sink.recorded();
@@ -99,6 +109,10 @@ RunRecord run_once(std::uint64_t seed) {
   rec.pik2_counters = pik2->counters();
   rec.chi_counters = chi->counters();
   rec.reliable = pik2->channel()->stats();
+  for (const auto* list : {&pi2->suspicions(), &pik2->suspicions(), &chi->suspicions()}) {
+    for (const Suspicion& x : *list) rec.suspicions.push_back(x.to_string());
+  }
+  rec.dispatched = n.net.sim().events_dispatched();
   return rec;
 }
 
@@ -124,6 +138,26 @@ TEST(TraceDeterminism, IdenticalSeedsProduceByteIdenticalOutput) {
   expect_counters_eq(r1.pi2_counters, r2.pi2_counters);
   expect_counters_eq(r1.pik2_counters, r2.pik2_counters);
   expect_counters_eq(r1.chi_counters, r2.chi_counters);
+}
+
+TEST(TraceDeterminism, AttachingObservabilityLeavesTheRunUnchanged) {
+  const RunRecord detached = run_once(/*seed=*/7, /*observed=*/false);
+  const RunRecord attached = run_once(/*seed=*/7, /*observed=*/true);
+
+  // Non-vacuous: the detached run recorded nothing, the attached one did,
+  // and the scenario raised suspicions for the comparison to cover.
+  EXPECT_EQ(detached.trace_recorded, 0U);
+  EXPECT_GT(attached.trace_recorded, 100U);
+  EXPECT_FALSE(attached.suspicions.empty());
+
+  expect_counters_eq(detached.pi2_counters, attached.pi2_counters);
+  expect_counters_eq(detached.pik2_counters, attached.pik2_counters);
+  expect_counters_eq(detached.chi_counters, attached.chi_counters);
+  EXPECT_EQ(detached.suspicions, attached.suspicions);
+  EXPECT_GT(attached.forwarded, 0U);
+  EXPECT_EQ(detached.forwarded, attached.forwarded);
+  EXPECT_EQ(detached.delivered, attached.delivered);
+  EXPECT_EQ(detached.dispatched, attached.dispatched);
 }
 
 TEST(TraceDeterminism, DifferentSeedsDiverge) {
@@ -201,5 +235,3 @@ TEST(TraceDeterminism, EveryInstrumentedLayerAppearsInTheTrace) {
 
 }  // namespace
 }  // namespace fatih::detection
-
-#endif  // FATIH_TRACE

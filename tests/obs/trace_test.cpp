@@ -230,7 +230,6 @@ TEST(MetricsRegistry, SnapshotIsDeterministicAndSorted) {
   EXPECT_NE(out.find("h.bins"), std::string::npos);
 }
 
-#if FATIH_TRACE
 TEST(MetricsRegistry, MacroFormsNullCheck) {
   // Both macro forms must be safe with nothing attached...
   obs::Counter* handle = nullptr;
@@ -246,7 +245,6 @@ TEST(MetricsRegistry, MacroFormsNullCheck) {
   FATIH_METRIC_REG(reg, counter("x").inc());
   EXPECT_EQ(live.counter_value("x"), 3U);
 }
-#endif  // FATIH_TRACE
 
 // ----------------------------------------------------------------------
 // Timeline
@@ -309,9 +307,7 @@ TEST(Timeline, EntriesMergeCategoriesInTimeOrder) {
 // ----------------------------------------------------------------------
 // Sim wiring: attach_observability resolves PacketCounters, the per-packet
 // paths count into them, and drops land in the reason-indexed counter.
-// Compiled-out builds (-DFATIH_TRACE=0) have no emit points to test.
 
-#if FATIH_TRACE
 struct WiredPair {
   sim::Network net{1};
   sim::Router* a;
@@ -375,7 +371,6 @@ TEST(SimWiring, DetachIsSafe) {
   EXPECT_EQ(p.sink.size(), 0U);
   EXPECT_EQ(p.metrics.counter_value("sim.enqueued"), 0U);
 }
-#endif  // FATIH_TRACE
 
 }  // namespace
 }  // namespace fatih

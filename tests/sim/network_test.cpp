@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "routing/install.hpp"
+#include "routing/spf.hpp"
+#include "routing/topologies.hpp"
 #include "sim/churn.hpp"
 #include "sim/node.hpp"
+#include "traffic/sources.hpp"
 
 namespace fatih::sim {
 namespace {
@@ -426,6 +433,61 @@ TEST(Network, AdjacencyExportMatchesLinks) {
   EXPECT_EQ(net.adjacencies()[0].metric, 9U);
   EXPECT_EQ(net.adjacencies()[0].from, a.id());
   EXPECT_EQ(net.adjacencies()[1].from, b.id());
+}
+
+TEST(Network, AbileneForwardingCountsArePinned) {
+  // The Abilene no-attack forwarding substrate under every chapter-5/6
+  // experiment: 11 PoPs, static shortest-path routes, five bidirectional
+  // 2000 pps CBR pairs for 10 s of simulated time. The counts were
+  // recorded at the seed commit and must never drift: any change means
+  // the engine or forwarding path changed what the simulation does.
+  Network net{20260805};
+  for (NodeId n = 0; n <= routing::kNewYork; ++n) net.add_router(routing::abilene_name(n));
+  for (const auto& l : routing::abilene_links()) {
+    LinkConfig link;
+    link.delay = Duration::millis(l.delay_ms);
+    link.metric = l.delay_ms;
+    link.bandwidth_bps = 1e9;
+    link.queue_limit_bytes = 256000;
+    net.connect(l.a, l.b, link);
+  }
+  routing::RoutingTables tables(routing::Topology::from_network(net));
+  routing::install_static_routes(net, tables);
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
+  for (NodeId n = 0; n <= routing::kNewYork; ++n) {
+    net.router(n).set_processing_delay(Duration::micros(20), Duration::micros(10));
+    net.router(n).add_forward_tap(
+        [&forwarded](const Packet&, NodeId, std::size_t, SimTime) { ++forwarded; });
+    net.router(n).add_local_handler(
+        [&delivered](const Packet&, NodeId, SimTime) { ++delivered; });
+  }
+
+  constexpr double kSimSeconds = 10.0;
+  const std::pair<NodeId, NodeId> pairs[] = {
+      {routing::kSeattle, routing::kNewYork},    {routing::kSunnyvale, routing::kWashington},
+      {routing::kLosAngeles, routing::kAtlanta}, {routing::kDenver, routing::kChicago},
+      {routing::kHouston, routing::kIndianapolis}};
+  std::vector<std::unique_ptr<traffic::CbrSource>> sources;
+  std::uint32_t flow = 1;
+  for (const auto& [a, b] : pairs) {
+    for (const auto& [src, dst] : {std::pair{a, b}, std::pair{b, a}}) {
+      traffic::CbrSource::Config cfg;
+      cfg.src = src;
+      cfg.dst = dst;
+      cfg.flow_id = flow++;
+      cfg.payload_bytes = 960;
+      cfg.rate_pps = 2000.0;
+      cfg.start = SimTime::from_seconds(0.01);
+      cfg.stop = SimTime::from_seconds(kSimSeconds);
+      sources.push_back(std::make_unique<traffic::CbrSource>(net, cfg));
+    }
+  }
+  net.sim().run_until(SimTime::from_seconds(kSimSeconds + 1.0));
+
+  EXPECT_EQ(forwarded, 639360U);
+  EXPECT_EQ(delivered, 199800U);
+  EXPECT_EQ(net.sim().events_dispatched(), 1918090U);
 }
 
 }  // namespace

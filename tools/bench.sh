@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark driver: builds the Release (-O3 -DNDEBUG) tree and regenerates
 # the committed BENCH_*.json artifacts from the repo root:
-#   tools/bench.sh              # perf_core + reliable_control
-#   tools/bench.sh perf_core    # just the named benches
+#   tools/bench.sh              # reliable_control + churn
+#   tools/bench.sh churn        # just the named benches
 # Perf numbers are only meaningful from this preset — never cite a
 # RelWithDebInfo or sanitizer build.
 set -euo pipefail
@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 BENCHES=("$@")
 if [ ${#BENCHES[@]} -eq 0 ]; then
-  BENCHES=(perf_core reliable_control churn)
+  BENCHES=(reliable_control churn)
 fi
 
 cmake --preset release

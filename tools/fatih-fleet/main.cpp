@@ -22,6 +22,7 @@
 
 #include <chrono>
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -68,6 +69,20 @@ bool write_file(const std::string& path, const std::string& text) {
   if (!out) return false;
   out << text;
   return static_cast<bool>(out);
+}
+
+/// Parses the whole of `text` as an unsigned decimal that fits in `out`.
+/// Empty, signed, partial ("12x") and out-of-range tokens are rejected and
+/// leave `out` unchanged.
+template <typename T>
+bool parse_number(const std::string& text, T& out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  out = value;
+  return true;
 }
 
 int usage() {
@@ -353,8 +368,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--out" && i + 1 < args.size()) {
         out_path = args[++i];
-      } else if (args[i] == "--threads" && i + 1 < args.size()) {
-        threads = static_cast<unsigned>(std::stoul(args[++i]));
+      } else if (args[i] == "--threads") {
+        if (i + 1 == args.size() || !parse_number(args[++i], threads)) return usage();
       } else if (name.empty()) {
         name = args[i];
       } else {
@@ -374,17 +389,19 @@ int main(int argc, char** argv) {
       const auto next = [&]() -> std::string {
         return i + 1 < args.size() ? args[++i] : std::string();
       };
-      if (a == "--jobs") opt.jobs = std::stoi(next());
-      else if (a == "--threads") opt.threads = static_cast<unsigned>(std::stoul(next()));
-      else if (a == "--timeout-ms") opt.timeout_ms = std::stoll(next());
-      else if (a == "--hang-timeout-ms") opt.hang_timeout_ms = std::stoll(next());
-      else if (a == "--retries") opt.retries = std::stoi(next());
+      bool ok = true;
+      if (a == "--jobs") ok = parse_number(next(), opt.jobs);
+      else if (a == "--threads") ok = parse_number(next(), opt.threads);
+      else if (a == "--timeout-ms") ok = parse_number(next(), opt.timeout_ms);
+      else if (a == "--hang-timeout-ms") ok = parse_number(next(), opt.hang_timeout_ms);
+      else if (a == "--retries") ok = parse_number(next(), opt.retries);
       else if (a == "--out") opt.out_path = next();
       else if (a == "--golden") opt.golden_path = next();
       else if (a == "--inject-crash") inject_crash = true;
       else if (a == "--inject-hang") inject_hang = true;
       else if (!a.empty() && a[0] == '-') return usage();
       else opt.names.push_back(a);
+      if (!ok) return usage();
     }
     if (opt.jobs < 1) opt.jobs = 1;
     if (opt.names.empty()) {
