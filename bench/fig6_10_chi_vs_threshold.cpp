@@ -12,20 +12,16 @@
 //   B: SYN-drop attack under congestion -> want alarms
 //   C: queue>=90% gated victim dropping -> want alarms
 // Each static threshold T alarms when a round loses more than T packets.
-#include "bench/chi_fixture.hpp"
+#include <cstdio>
+#include <vector>
 
-#include "detection/threshold.hpp"
+#include "detection/chi.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 
 using namespace fatih;
-using namespace fatih::bench;
 
 namespace {
-
-struct Outcome {
-  std::size_t clean_false_alarm_rounds = 0;  // scenario A
-  bool detects_syn = false;                  // scenario B
-  bool detects_q90 = false;                  // scenario C
-};
 
 // Per-round loss counts for each scenario, captured once; thresholds are
 // then evaluated offline against the same counts (exactly what a static
@@ -33,32 +29,25 @@ struct Outcome {
 struct Scenario {
   std::vector<std::uint64_t> losses_per_round;   // observed at the queue
   std::vector<bool> chi_alarm_per_round;
-  double attack_start = -1;
 };
 
+/// Scenario A, B or C (which = 0, 1, 2): the 20-round drop-tail figure mix
+/// under heavy congestion, with Fig. 6.9's SYN attack (and its victim
+/// host) or Fig. 6.7's queue>=90% attack taken from the registry.
 Scenario run_scenario(int which) {
-  ChiExperiment exp(/*red=*/false, /*rounds=*/20, /*seed=*/1000 + which);
-  exp.standard_traffic(/*heavy_congestion=*/true);
-  std::unique_ptr<traffic::TcpFlow> victim;
+  scenario::ScenarioSpec spec = scenario::chi_bottleneck_spec(
+      "fig6_10_chi_vs_threshold", static_cast<std::uint64_t>(1000 + which), 20, false);
   if (which == 1) {
-    attacks::FlowMatch match;
-    match.syn_only = true;
-    exp.net.router(exp.r).set_forward_filter(std::make_shared<attacks::RateDropAttack>(
-        match, 1.0, util::SimTime::from_seconds(8), 13));
-    victim = std::make_unique<traffic::TcpFlow>(exp.net, exp.s2, exp.rd, 50,
-                                                traffic::TcpConfig{});
-    victim->start(util::SimTime::from_seconds(9));
+    const scenario::ScenarioSpec& syn = *scenario::find_scenario("fig6_9_attack_syn");
+    spec.attacks = syn.attacks;
+    spec.flows.push_back(syn.flows.back());  // the victim's connection attempt
   } else if (which == 2) {
-    attacks::FlowMatch match;
-    match.flow_ids = {1};
-    exp.net.router(exp.r).set_forward_filter(
-        std::make_shared<attacks::QueueThresholdDropAttack>(
-            match, 0.90, 1.0, util::SimTime::from_seconds(8), 13));
+    spec.attacks = scenario::find_scenario("fig6_7_attack_q90")->attacks;
   }
-  exp.run();
+  scenario::ScenarioRun run(spec);
+  run.run_to(run.end_time_ns());
   Scenario out;
-  out.attack_start = which == 0 ? -1 : 8;
-  for (const auto& rs : exp.validator->rounds()) {
+  for (const auto& rs : run.chi_validator()->rounds()) {
     out.losses_per_round.push_back(rs.drops);
     out.chi_alarm_per_round.push_back(rs.alarmed && rs.round >= 3);
   }

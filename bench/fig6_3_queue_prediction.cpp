@@ -3,22 +3,28 @@
 // calibration run under congestion-heavy traffic and shown as a histogram
 // with a normality check — the dissertation's central-limit argument
 // ("Indeed, this turns out to be the case", §6.2.1).
-#include "bench/chi_fixture.hpp"
-
+#include <algorithm>
+#include <cstdio>
 #include <vector>
 
+#include "detection/chi.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 #include "util/stats.hpp"
 
 int main() {
   std::printf("== Figure 6.3: queue prediction error distribution ==\n\n");
-  fatih::bench::ChiExperiment exp(/*red=*/false, /*rounds=*/20, /*seed=*/607,
-                                  /*learning_rounds=*/18);
+  // The drop-tail figure mix, calibrating for 18 of its 20 rounds.
+  fatih::scenario::ScenarioSpec spec =
+      fatih::scenario::chi_bottleneck_spec("fig6_3_queue_prediction", 607, 20, false);
+  spec.detector.learning_rounds = 18;
+  fatih::scenario::ScenarioRun run(spec);
   std::vector<double> samples;
-  exp.validator->set_error_sample_hook([&](double x) { samples.push_back(x); });
-  exp.standard_traffic(/*heavy_congestion=*/true);
-  exp.run();
+  fatih::detection::QueueValidator& validator = *run.chi_validator();
+  validator.set_error_sample_hook([&](double x) { samples.push_back(x); });
+  run.run_to(run.end_time_ns());
 
-  const auto& es = exp.validator->error_stats();
+  const auto& es = validator.error_stats();
   std::printf("samples=%zu  mean=%.1fB  sigma=%.1fB  min=%.0fB  max=%.0fB\n\n", es.count(),
               es.mean(), es.stddev(), es.min(), es.max());
 

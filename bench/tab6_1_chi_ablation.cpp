@@ -7,10 +7,13 @@
 // Expected shape: more calibration tightens sigma estimates; more jitter
 // widens sigma (costing single-packet sensitivity) but never costs
 // correctness — detection degrades gracefully, false alarms stay at zero.
-#include "bench/chi_fixture.hpp"
+#include <cstdio>
+
+#include "detection/chi.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 
 using namespace fatih;
-using namespace fatih::bench;
 
 namespace {
 
@@ -20,33 +23,34 @@ struct Cell {
   bool detects = false;
 };
 
-Cell run_cell(std::int64_t learning_rounds, Duration jitter) {
+/// The 16-round drop-tail figure mix with `learning_rounds` of calibration
+/// and every router's processing jitter set to `jitter_ns`.
+scenario::ScenarioSpec cell_spec(std::int64_t learning_rounds, std::int64_t jitter_ns) {
+  scenario::ScenarioSpec spec =
+      scenario::chi_bottleneck_spec("tab6_1_chi_ablation", 607, 16, false);
+  spec.detector.learning_rounds = learning_rounds;
+  spec.proc_jitter_ns = jitter_ns;
+  return spec;
+}
+
+Cell run_cell(std::int64_t learning_rounds, std::int64_t jitter_ns) {
   Cell cell;
   {  // clean congested run
-    ChiExperiment exp(false, 16, 607, learning_rounds);
-    for (NodeId n : {exp.s1, exp.s2, exp.r, exp.rd}) {
-      exp.net.router(n).set_processing_delay(Duration::micros(20), jitter);
-    }
-    exp.standard_traffic(true);
-    exp.run();
-    cell.sigma = exp.validator->sigma();
-    for (const auto& rs : exp.validator->rounds()) {
+    scenario::ScenarioRun run(cell_spec(learning_rounds, jitter_ns));
+    run.run_to(run.end_time_ns());
+    const detection::QueueValidator& v = *run.chi_validator();
+    cell.sigma = v.sigma();
+    for (const auto& rs : v.rounds()) {
       if (rs.alarmed) ++cell.false_alarms;
     }
   }
-  {  // attacked run
-    ChiExperiment exp(false, 16, 607, learning_rounds);
-    for (NodeId n : {exp.s1, exp.s2, exp.r, exp.rd}) {
-      exp.net.router(n).set_processing_delay(Duration::micros(20), jitter);
-    }
-    exp.standard_traffic(true);
-    fatih::attacks::FlowMatch match;
-    match.flow_ids = {1};
-    exp.net.router(exp.r).set_forward_filter(
-        std::make_shared<fatih::attacks::QueueThresholdDropAttack>(
-            match, 0.9, 1.0, SimTime::from_seconds(learning_rounds + 3.0), 13));
-    exp.run();
-    for (const auto& rs : exp.validator->rounds()) {
+  {  // attacked run: Fig. 6.7's queue>=90% attack, once calibration is done
+    scenario::ScenarioSpec spec = cell_spec(learning_rounds, jitter_ns);
+    spec.attacks = scenario::find_scenario("fig6_7_attack_q90")->attacks;
+    spec.attacks.front().active_from_ns = (learning_rounds + 3) * 1'000'000'000;
+    scenario::ScenarioRun run(spec);
+    run.run_to(run.end_time_ns());
+    for (const auto& rs : run.chi_validator()->rounds()) {
       if (rs.alarmed && rs.round >= learning_rounds + 2) cell.detects = true;
     }
   }
@@ -61,7 +65,7 @@ int main() {
               "falseAlarms", "catchesQ90");
   for (std::int64_t learning : {2L, 3L, 6L}) {
     for (std::int64_t jitter_us : {0L, 50L, 200L}) {
-      const Cell cell = run_cell(learning, Duration::micros(jitter_us));
+      const Cell cell = run_cell(learning, jitter_us * 1000);
       std::printf("%-10lld %-12lld | %10.1f %12zu %10s\n",
                   static_cast<long long>(learning), static_cast<long long>(jitter_us),
                   cell.sigma, cell.false_alarms, cell.detects ? "yes" : "NO");

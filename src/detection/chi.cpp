@@ -915,4 +915,18 @@ std::uint64_t QueueValidator::state_fingerprint() const {
   return h;
 }
 
+AlarmTally tally_alarms(const std::vector<QueueValidator::RoundStats>& rounds,
+                        std::optional<std::int64_t> onset_round) {
+  AlarmTally tally;
+  for (const auto& rs : rounds) {
+    if (!rs.alarmed) continue;
+    if (onset_round.has_value() && rs.round >= *onset_round) {
+      ++tally.hits;
+    } else {
+      ++tally.false_alarms;
+    }
+  }
+  return tally;
+}
+
 }  // namespace fatih::detection

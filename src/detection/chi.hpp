@@ -292,6 +292,17 @@ class QueueValidator {
   util::FlatMap<util::NodeId, SelfReportMutator> mutators_;
 };
 
+/// A run's alarmed rounds judged against a known attack onset, per the
+/// accuracy definition (§4.2.2): an alarm in the onset round or later is a
+/// hit; any earlier alarm, and every alarm of an attack-free run (no
+/// onset), is a false alarm.
+struct AlarmTally {
+  std::size_t hits = 0;
+  std::size_t false_alarms = 0;
+};
+[[nodiscard]] AlarmTally tally_alarms(const std::vector<QueueValidator::RoundStats>& rounds,
+                                      std::optional<std::int64_t> onset_round);
+
 /// Convenience wrapper: a fleet of QueueValidators covering every
 /// router-to-router queue in the network (or a chosen subset).
 class ChiEngine {

@@ -78,44 +78,91 @@ AttackSpec drop_at(util::NodeId at, std::uint32_t flow, std::int64_t fraction_pp
   return a;
 }
 
-/// Fig. 6.4 bottleneck base: the ChiExperiment standard traffic mix.
-ScenarioSpec chi_base(const char* name, bool red, std::uint64_t seed) {
-  constexpr util::NodeId kS1 = 0, kS2 = 1, kRd = 3;
-  ScenarioSpec s;
-  s.name = name;
-  s.topology = TopologyKind::kChiBottleneck;
-  s.seed = seed;
-  s.duration_ns = 8 * kSecond;
-  s.detector.kind = DetectorKind::kChi;
-  s.detector.tau_ns = kSecond;
-  s.detector.rounds = 8;
-  s.detector.learning_rounds = 3;
-  s.detector.red = red;
-  s.flows.push_back(cbr(kS1, kRd, 1, 300, 50 * kMilli, 7'500 * kMilli));
-  s.flows.push_back(tcp(kS1, kRd, 10, 200 * kMilli));
-  s.flows.push_back(tcp(kS2, kRd, 11, 400 * kMilli));
-  s.flows.push_back(onoff(kS2, kRd, 2, 1100, 50 * kMilli, 7'500 * kMilli));
+/// Figs. 6.6-6.15: r drops `fraction_ppm` of victim flow 1 from t=8 s,
+/// gated by kind on queue fill (threshold in ppm of full) or on the RED
+/// average (threshold in bytes).
+AttackSpec victim_drop(AttackKind kind, std::int64_t fraction_ppm, std::int64_t threshold) {
+  AttackSpec a;
+  a.kind = kind;
+  a.at = 2;
+  a.flow_ids = {1};
+  a.fraction_ppm = fraction_ppm;
+  if (kind == AttackKind::kQueueGateDrop) a.threshold_ppm = threshold;
+  if (kind == AttackKind::kRedGateDrop) a.threshold_bytes = threshold;
+  a.active_from_ns = 8 * kSecond;
+  a.seed = 13;
+  return a;
+}
+
+/// Figs. 6.9 and 6.16: r drops every TCP SYN from t=8 s while a victim
+/// host keeps trying to connect (TCP flow 50, s2 -> rd, from t=9 s).
+/// Only per-packet precision catches so few, so damaging, losses.
+ScenarioSpec with_syn_attack(ScenarioSpec s) {
+  AttackSpec a;
+  a.at = 2;
+  a.syn_only = true;
+  a.active_from_ns = 8 * kSecond;
+  a.seed = 13;
+  s.attacks.push_back(a);
+  s.flows.push_back(tcp(1, 3, 50, 9 * kSecond));
   return s;
+}
+
+ScenarioSpec with_attack(ScenarioSpec s, const AttackSpec& a) {
+  s.attacks.push_back(a);
+  return s;
+}
+
+/// The Ch. 6 chi figures, named after their bench output (chi_figures).
+/// All run at seed 607; attacks sit at r on victim flow 1 from t=8 s.
+void add_chi_figures(std::vector<ScenarioSpec>& all) {
+  constexpr std::int64_t kAll = 1'000'000;
+  const auto fig = [](const char* name, std::int64_t rounds, bool red, bool heavy = true,
+                      std::int64_t flow3_pps = 0) {
+    return chi_bottleneck_spec(name, 607, rounds, red, heavy, flow3_pps);
+  };
+  // Fig. 6.5: TCP + bursty UDP drive the drop-tail queue into genuine
+  // congestive loss; chi must explain every drop and raise no alarm.
+  all.push_back(fig("fig6_5_no_attack", 60, false));
+  // Fig. 6.6: drop 20% of the victim flow.
+  all.push_back(with_attack(fig("fig6_6_attack_drop20", 20, false),
+                            victim_drop(AttackKind::kRateDrop, 200'000, 0)));
+  // Figs. 6.7 / 6.8: drop the victim only while the queue is >= 90% (95%)
+  // full, hiding inside plausible congestion; chi's per-packet occupancy
+  // prediction still sees the headroom.
+  all.push_back(with_attack(fig("fig6_7_attack_q90", 24, false),
+                            victim_drop(AttackKind::kQueueGateDrop, kAll, 900'000)));
+  all.push_back(with_attack(fig("fig6_8_attack_q95", 24, false),
+                            victim_drop(AttackKind::kQueueGateDrop, kAll, 950'000)));
+  // Fig. 6.9: SYN dropping under light load, where drops are unambiguous.
+  all.push_back(with_syn_attack(fig("fig6_9_attack_syn", 20, false, false)));
+  // Fig. 6.11: RED's random early drops are legitimate; the replayed
+  // per-packet drop probabilities must account for them. Flow 3 keeps the
+  // RED average in the active band.
+  all.push_back(fig("fig6_11_red_no_attack", 100, true, true, 400));
+  // Figs. 6.12 / 6.13: drop the victim whenever the RED average exceeds
+  // 45,000 B (= max_th, where RED drops legitimately) or 54,000 B (the
+  // gentle region, where RED already drops aggressively).
+  all.push_back(with_attack(fig("fig6_12_red_attack1", 26, true, true, 400),
+                            victim_drop(AttackKind::kRedGateDrop, kAll, 45'000)));
+  all.push_back(with_attack(fig("fig6_13_red_attack2", 26, true, true, 500),
+                            victim_drop(AttackKind::kRedGateDrop, kAll, 54'000)));
+  // Figs. 6.14 / 6.15: rate-limited variants, only 10% (5%) of the victim
+  // above the 45,000 B average — the chapter's finest-grained attacks.
+  all.push_back(with_attack(fig("fig6_14_red_attack3", 160, true, true, 400),
+                            victim_drop(AttackKind::kRedGateDrop, 100'000, 45'000)));
+  all.push_back(with_attack(fig("fig6_15_red_attack4", 160, true, true, 400),
+                            victim_drop(AttackKind::kRedGateDrop, 50'000, 45'000)));
+  // Fig. 6.16: SYN dropping under RED. With the average below min_th the
+  // legitimate drop probability is exactly zero, so each dropped SYN is
+  // individually damning.
+  all.push_back(with_syn_attack(fig("fig6_16_red_attack5", 20, true, false)));
 }
 
 // ------------------------------------------------- generated topologies
 
-TopoSpec ebone_topo() {
+TopoSpec topo_spec(const topo::TopoParams& p) {
   TopoSpec t;
-  const topo::TopoParams p = topo::ebone();
-  t.routers = p.routers;
-  t.links = p.links;
-  t.pops = p.pops;
-  t.max_degree = p.max_degree;
-  t.seed = p.seed;
-  t.intra_delay_ns = p.intra_delay_ns;
-  t.inter_delay_ns = p.inter_delay_ns;
-  return t;
-}
-
-TopoSpec sprintlink_topo() {
-  TopoSpec t;
-  const topo::TopoParams p = topo::sprintlink();
   t.routers = p.routers;
   t.links = p.links;
   t.pops = p.pops;
@@ -166,8 +213,8 @@ ScenarioSpec gen_base(const char* name, const TopoSpec& t, DetectorKind detector
 }
 
 void add_generated(std::vector<ScenarioSpec>& all) {
-  const TopoSpec ebone = ebone_topo();
-  const TopoSpec sprint = sprintlink_topo();
+  const TopoSpec ebone = topo_spec(topo::ebone());
+  const TopoSpec sprint = topo_spec(topo::sprintlink());
   const topo::GeneratedTopology ge = topo::generate(params_of(ebone));
   const topo::GeneratedTopology gs = topo::generate(params_of(sprint));
 
@@ -236,6 +283,7 @@ std::vector<ScenarioSpec> build_all() {
   std::vector<ScenarioSpec> all;
 
   add_generated(all);
+  add_chi_figures(all);
 
   all.push_back(line4("line4_pik2_clean", DetectorKind::kPik2, 11));
 
@@ -333,21 +381,21 @@ std::vector<ScenarioSpec> build_all() {
     all.push_back(d);
   }
 
-  all.push_back(chi_base("chi_droptail_clean", false, 607));
+  all.push_back(chi_bottleneck_spec("chi_droptail_clean", 607, 8, false));
 
   {
     // Fig. 6.6: drop 20% of the victim flow after calibration.
-    ScenarioSpec s = chi_base("chi_droptail_drop20", false, 608);
+    ScenarioSpec s = chi_bottleneck_spec("chi_droptail_drop20", 608, 8, false);
     s.attacks.push_back(drop_at(2, 1, 200'000, 4 * kSecond));
     all.push_back(s);
   }
 
-  all.push_back(chi_base("chi_red_clean", true, 609));
+  all.push_back(chi_bottleneck_spec("chi_red_clean", 609, 8, true));
 
   {
     // Figs. 6.12-6.15: drops gated on the RED average so they masquerade
     // as early drops.
-    ScenarioSpec s = chi_base("chi_red_gate", true, 610);
+    ScenarioSpec s = chi_bottleneck_spec("chi_red_gate", 610, 8, true);
     AttackSpec a;
     a.kind = AttackKind::kRedGateDrop;
     a.at = 2;
@@ -370,6 +418,28 @@ std::vector<ScenarioSpec> build_all() {
 const std::vector<ScenarioSpec>& builtin_scenarios() {
   static const std::vector<ScenarioSpec> all = build_all();
   return all;
+}
+
+ScenarioSpec chi_bottleneck_spec(std::string name, std::uint64_t seed, std::int64_t rounds,
+                                 bool red, bool heavy_congestion, std::int64_t flow3_pps) {
+  constexpr util::NodeId kS1 = 0, kS2 = 1, kRd = 3;
+  const std::int64_t stop_ns = rounds * kSecond - 500 * kMilli;
+  ScenarioSpec s;
+  s.name = std::move(name);
+  s.topology = TopologyKind::kChiBottleneck;
+  s.seed = seed;
+  s.duration_ns = rounds * kSecond;
+  s.detector.kind = DetectorKind::kChi;
+  s.detector.tau_ns = kSecond;
+  s.detector.rounds = rounds;
+  s.detector.learning_rounds = 3;
+  s.detector.red = red;
+  s.flows.push_back(cbr(kS1, kRd, 1, 300, 50 * kMilli, stop_ns));
+  s.flows.push_back(tcp(kS1, kRd, 10, 200 * kMilli));
+  s.flows.push_back(tcp(kS2, kRd, 11, 400 * kMilli));
+  if (heavy_congestion) s.flows.push_back(onoff(kS2, kRd, 2, 1100, 50 * kMilli, stop_ns));
+  if (flow3_pps > 0) s.flows.push_back(cbr(kS1, kRd, 3, flow3_pps, 50 * kMilli, stop_ns));
+  return s;
 }
 
 const ScenarioSpec* find_scenario(std::string_view name) {

@@ -249,6 +249,7 @@ struct ScenarioRun::Impl {
     tables = std::make_shared<routing::RoutingTables>(routing::Topology::from_network(net));
     routing::install_static_routes(net, *tables);
     paths = std::make_unique<detection::PathCache>(tables);
+    if (spec.proc_jitter_ns.has_value()) proc_jitter = Duration::nanos(*spec.proc_jitter_ns);
     for (util::NodeId n = 0; n < net.node_count(); ++n) {
       net.router(n).set_processing_delay(proc_base, proc_jitter);
     }
@@ -317,6 +318,7 @@ struct ScenarioRun::Impl {
     for (const AttackSpec& a : spec.attacks) {
       attacks::FlowMatch match;
       match.flow_ids = a.flow_ids;
+      match.syn_only = a.syn_only;
       const double fraction = static_cast<double>(a.fraction_ppm) / 1e6;
       const auto from = SimTime::from_nanos(a.active_from_ns);
       std::shared_ptr<sim::ForwardFilter> filter;
@@ -549,6 +551,19 @@ std::vector<std::string> ScenarioRun::suspicion_strings() const {
 const std::vector<Checkpoint>& ScenarioRun::checkpoints() const { return impl_->checkpoints; }
 
 const ScenarioSpec& ScenarioRun::spec() const { return impl_->spec; }
+
+detection::QueueValidator* ScenarioRun::chi_validator() { return impl_->chi.get(); }
+
+std::uint64_t ScenarioRun::malicious_drops(util::NodeId router) const {
+  return impl_->net.router(router).malicious_drops();
+}
+
+const traffic::TcpFlow* ScenarioRun::tcp_flow(std::uint32_t flow_id) const {
+  for (const auto& f : impl_->tcp) {
+    if (f->flow_id() == flow_id) return f.get();
+  }
+  return nullptr;
+}
 
 ScenarioResult ScenarioRun::finish() {
   impl_->run_to(impl_->end_ns());

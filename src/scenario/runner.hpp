@@ -15,6 +15,9 @@
 
 #include "scenario/spec.hpp"
 
+namespace fatih::detection { class QueueValidator; }
+namespace fatih::traffic { class TcpFlow; }
+
 namespace fatih::scenario {
 
 /// Everything a checkpoint pins about an in-flight run: counters plus FNV
@@ -89,6 +92,16 @@ class ScenarioRun {
   [[nodiscard]] const std::vector<Checkpoint>& checkpoints() const;
 
   [[nodiscard]] const ScenarioSpec& spec() const;
+
+  /// The chi validator (detector kind chi), else nullptr: per-round
+  /// stats, calibration, and the error-sample hook the figures read.
+  [[nodiscard]] detection::QueueValidator* chi_validator();
+
+  /// Ground truth: packets `router`'s attack filters have dropped so far.
+  [[nodiscard]] std::uint64_t malicious_drops(util::NodeId router) const;
+
+  /// The spec's TCP flow with `flow_id`, else nullptr.
+  [[nodiscard]] const traffic::TcpFlow* tcp_flow(std::uint32_t flow_id) const;
 
  private:
   struct Impl;

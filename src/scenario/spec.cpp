@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "routing/topologies.hpp"
 #include "util/hash.hpp"
 
 namespace fatih::scenario {
@@ -110,6 +111,16 @@ bool parse_bool(std::string_view s, bool& out) {
   return false;
 }
 
+std::uint32_t router_count(const ScenarioSpec& spec) {
+  switch (spec.topology) {
+    case TopologyKind::kLine4: return 4;
+    case TopologyKind::kAbilene: return routing::kNewYork + 1;
+    case TopologyKind::kChiBottleneck: return 4;
+    case TopologyKind::kGenerated: return spec.topo.routers;
+  }
+  return 0;
+}
+
 template <typename E>
 bool parse_enum(std::string_view s, E& out, const char* (*name)(E), E last) {
   for (std::uint8_t i = 0; i <= static_cast<std::uint8_t>(last); ++i) {
@@ -185,7 +196,7 @@ std::string encode(const ScenarioSpec& spec) {
   out += "seed " + std::to_string(spec.seed) + '\n';
   out += "duration_ns " + std::to_string(spec.duration_ns) + '\n';
 
-  // Both statements are new in codec terms and emitted only when they
+  // These statements are new in codec terms and emitted only when they
   // carry non-default content, so pre-existing specs encode byte-for-byte
   // as before (stable spec_hash across the corpus).
   if (spec.topology == TopologyKind::kGenerated) {
@@ -203,6 +214,11 @@ std::string encode(const ScenarioSpec& spec) {
   if (spec.shards > 0) {
     out += "engine";
     append_kv_u(out, "shards", spec.shards);
+    out += '\n';
+  }
+  if (spec.proc_jitter_ns.has_value()) {
+    out += "processing";
+    append_kv(out, "jitter_ns", *spec.proc_jitter_ns);
     out += '\n';
   }
 
@@ -244,6 +260,7 @@ std::string encode(const ScenarioSpec& spec) {
     append_kv(out, "delay_ns", a.delay_ns);
     append_kv(out, "active_from_ns", a.active_from_ns);
     append_kv_u(out, "seed", a.seed);
+    if (a.syn_only) append_kv(out, "syn_only", 1);
     out += '\n';
   }
   for (const ChurnSpec& c : spec.churn) {
@@ -319,6 +336,15 @@ bool decode(const std::string& text, ScenarioSpec& out, std::string& error) {
         else return fail("unknown engine key '" + std::string(tk.key) + "'");
         if (!ok) return fail("bad engine value for '" + std::string(tk.key) + "'");
       }
+    } else if (stmt == "processing") {
+      if (!split_tokens(rest, toks, error)) return fail(error);
+      for (const Token& tk : toks) {
+        std::int64_t v = 0;
+        if (tk.key != "jitter_ns")
+          return fail("unknown processing key '" + std::string(tk.key) + "'");
+        if (!parse_i64(tk.value, v)) return fail("bad processing value for 'jitter_ns'");
+        out.proc_jitter_ns = v;
+      }
     } else if (stmt == "detector") {
       const std::size_t sp2 = rest.find(' ');
       const std::string_view kind = rest.substr(0, sp2);
@@ -382,6 +408,7 @@ bool decode(const std::string& text, ScenarioSpec& out, std::string& error) {
         else if (t.key == "delay_ns") ok = parse_i64(t.value, a.delay_ns);
         else if (t.key == "active_from_ns") ok = parse_i64(t.value, a.active_from_ns);
         else if (t.key == "seed") ok = parse_u64(t.value, a.seed);
+        else if (t.key == "syn_only") ok = parse_bool(t.value, a.syn_only);
         else return fail("unknown attack key '" + std::string(t.key) + "'");
         if (!ok) return fail("bad attack value for '" + std::string(t.key) + "'");
       }
@@ -414,6 +441,44 @@ bool decode(const std::string& text, ScenarioSpec& out, std::string& error) {
   if (out.name.empty()) {
     error = "spec has no name";
     return false;
+  }
+  return validate(out, error);
+}
+
+bool validate(const ScenarioSpec& spec, std::string& error) {
+  const std::uint32_t routers = router_count(spec);
+  auto bad_node = [&](const char* what, util::NodeId n) {
+    if (n < routers) return false;
+    error = std::string(what) + " node " + std::to_string(n) + " outside the " +
+            std::to_string(routers) + "-router " + topology_name(spec.topology) + " topology";
+    return true;
+  };
+  if (spec.detector.tau_ns <= 0) {
+    error = "detector tau_ns must be positive";
+    return false;
+  }
+  if (spec.proc_jitter_ns.value_or(0) < 0) {
+    error = "processing jitter_ns must not be negative";
+    return false;
+  }
+  for (const util::NodeId t : spec.detector.terminals) {
+    if (bad_node("detector terminal", t)) return false;
+  }
+  for (const FlowSpec& f : spec.flows) {
+    if (bad_node("flow src", f.src) || bad_node("flow dst", f.dst)) return false;
+    if (f.kind != FlowKind::kTcp && f.rate_mpps <= 0) {
+      error = std::string(flow_name(f.kind)) + " flow " + std::to_string(f.flow_id) +
+              " needs a positive rate_mpps";
+      return false;
+    }
+  }
+  for (const AttackSpec& a : spec.attacks) {
+    if (bad_node("attack", a.at)) return false;
+  }
+  for (const ChurnSpec& c : spec.churn) {
+    if (bad_node("churn", c.a)) return false;
+    const bool link = c.kind == ChurnSpec::Kind::kLinkDown || c.kind == ChurnSpec::Kind::kLinkUp;
+    if (link && bad_node("churn", c.b)) return false;
   }
   return true;
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,9 @@ struct AttackSpec {
   std::int64_t delay_ns = 0;         ///< reorder hold-back
   std::int64_t active_from_ns = 0;
   std::uint64_t seed = 1;
+  /// Match TCP SYN packets only (on top of flow_ids). Encoded as
+  /// `syn_only=1` only when set, so existing attack lines are unchanged.
+  bool syn_only = false;
 };
 
 /// One scripted churn event (mirrors sim::ChurnEvent).
@@ -133,6 +137,9 @@ struct ScenarioSpec {
   /// `engine shards=N` only when non-zero, so existing specs keep their
   /// byte-identical canonical form.
   std::uint32_t shards = 0;
+  /// Maximum per-router processing jitter; unset = the topology's default
+  /// (see runner.cpp). Encoded as `processing jitter_ns=N` only when set.
+  std::optional<std::int64_t> proc_jitter_ns{};
   DetectorSpec detector{};
   std::vector<FlowSpec> flows{};
   std::vector<AttackSpec> attacks{};
@@ -144,7 +151,14 @@ struct ScenarioSpec {
 
 /// Parses a spec. Returns false and sets `error` (with a line number) on
 /// malformed input: unknown sections/keys, bad integers, missing header.
+/// A spec that parses but could not run is rejected too (see validate).
 [[nodiscard]] bool decode(const std::string& text, ScenarioSpec& out, std::string& error);
+
+/// The run-time preconditions decode() enforces: a positive round length,
+/// positive CBR and on-off rates, a non-negative processing jitter, and
+/// every node id (flow ends, attack sites, churn endpoints, terminals)
+/// below the topology's router count. Returns false and sets `error`.
+[[nodiscard]] bool validate(const ScenarioSpec& spec, std::string& error);
 
 /// FNV-1a 64 (util/hash.hpp) over the canonical encoding: the corpus key
 /// for the scenario.

@@ -353,6 +353,24 @@ TEST(Chi, HostNeighborsReportToo) {
   EXPECT_FALSE(v.suspicions().empty());
 }
 
+TEST(ChiVerdict, OnlyAlarmsFromTheOnsetRoundOnAreHits) {
+  std::vector<QueueValidator::RoundStats> rounds(10);
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    rounds[i].round = static_cast<std::int64_t>(i);
+    rounds[i].alarmed = i >= 6;
+  }
+  // Onset in round 8: rounds 8 and 9 are hits; the alarms in rounds 6 and
+  // 7 came before any attack and are false, the round just before the
+  // onset included.
+  const AlarmTally attacked = tally_alarms(rounds, 8);
+  EXPECT_EQ(attacked.hits, 2u);
+  EXPECT_EQ(attacked.false_alarms, 2u);
+  // No attack at all: every alarm is false.
+  const AlarmTally clean = tally_alarms(rounds, std::nullopt);
+  EXPECT_EQ(clean.hits, 0u);
+  EXPECT_EQ(clean.false_alarms, 4u);
+}
+
 TEST(ChiEngine, MonitorsAllRouterQueues) {
   ChiNet n;
   n.add_cbr(n.s1, 1, 200, 0.05, 6.5);

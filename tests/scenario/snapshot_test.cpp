@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "scenario/registry.hpp"
@@ -151,6 +152,41 @@ TEST_F(SnapshotRejection, UndecodableEmbeddedSpecRefusesRestore) {
   EXPECT_FALSE(restore_run(bad, out, error));
   EXPECT_EQ(error, SnapshotError::kBadSpec);
   EXPECT_EQ(out, nullptr);
+}
+
+/// Replaces the first `from` in `text` with `to` (which must be present).
+std::string edited(std::string text, const std::string& from, const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST_F(SnapshotRejection, UnrunnableEmbeddedSpecRefusesRestore) {
+  // Each edit still parses, but the run it describes would divide by a
+  // zero round length, loop forever on a zero-rate source, or index a
+  // router the topology does not have. The spec check must refuse all of
+  // them before any run is built.
+  const std::string chi = encode(*find_scenario("chi_droptail_drop20"));
+  const std::string& line = snap_.spec_text;  // line4_pik2_clean
+  const std::string cases[] = {
+      edited(line, "tau_ns=1000000000", "tau_ns=0"),
+      edited(line, "rate_mpps=200000", "rate_mpps=0"),
+      edited(chi, "flow onoff src=1 dst=3 flow_id=2 rate_mpps=1100000",
+             "flow onoff src=1 dst=3 flow_id=2 rate_mpps=0"),
+      edited(chi, "attack rate_drop at=2", "attack rate_drop at=99"),
+      edited(chi, "flow cbr src=0", "flow cbr src=99"),
+      edited(line, "terminals=0,3", "terminals=0,4"),
+  };
+  for (const std::string& text : cases) {
+    ScenarioSnapshot bad = snap_;
+    bad.spec_text = text;
+    std::unique_ptr<ScenarioRun> out;
+    SnapshotError error = SnapshotError::kNone;
+    EXPECT_FALSE(restore_run(bad, out, error)) << text;
+    EXPECT_EQ(error, SnapshotError::kBadSpec) << text;
+    EXPECT_EQ(out, nullptr);
+  }
 }
 
 TEST_F(SnapshotRejection, MismatchedSpecDivergesOnReplay) {
