@@ -104,6 +104,16 @@ class PathCache {
 
   [[nodiscard]] std::size_t epoch_count() const { return epochs_.size(); }
 
+  /// Index of the epoch in force at `when` (0 = the initial tables). An
+  /// index names the same tables for the cache's lifetime: epochs are only
+  /// appended, and extend_transition moves a start, not the tables.
+  [[nodiscard]] std::size_t epoch_index_at(util::SimTime when) const {
+    for (std::size_t i = epochs_.size(); i-- > 1;) {
+      if (epochs_[i].start <= when) return i;
+    }
+    return 0;
+  }
+
  private:
   struct Epoch {
     util::SimTime start;          ///< tables authoritative from here on
@@ -117,10 +127,7 @@ class PathCache {
   };
 
   [[nodiscard]] const Epoch& epoch_at(util::SimTime when) const {
-    for (std::size_t i = epochs_.size(); i-- > 1;) {
-      if (epochs_[i].start <= when) return epochs_[i];
-    }
-    return epochs_.front();
+    return epochs_[epoch_index_at(when)];
   }
 
   /// Does transition i's window [unstable_from, start) intersect

@@ -30,25 +30,28 @@ void SummaryGenerator::monitor(const routing::PathSegment& segment, std::size_t 
   // their fingerprints for the same packet agree.
   role.fp = validation::FingerprintHasher(keys_.fingerprint_key(segment.front(), segment.back()));
   roles_.push_back(std::move(role));
+  route_roles_.clear();  // any cached list may now miss the new role
 }
 
-bool SummaryGenerator::applies(const Role& role, const sim::Packet& p, util::NodeId prev,
-                               std::optional<util::NodeId> forwarded_to) const {
-  const auto& seg = role.segment.nodes();
-  const std::size_t i = role.position;
-  if (i >= seg.size() || seg[i] != router_) return false;
-  const bool sink = i + 1 == seg.size();
-  if (sink != !forwarded_to.has_value()) return false;
-  // Alignment with the neighbors named by the segment.
-  if (!sink && *forwarded_to != seg[i + 1]) return false;
-  if (i > 0 && prev != seg[i - 1]) return false;
+const SummaryGenerator::RoleLists& SummaryGenerator::roles_for(const sim::Packet& p) {
+  const RouteKey key{paths_.epoch_index_at(p.created), p.hdr.src, p.hdr.dst};
+  auto it = route_roles_.find(key);
+  if (it != route_roles_.end()) return it->second;
   // The packet's stable path must contain the segment, i.e. this traffic
   // genuinely traverses pi (mis-addressed or fabricated traffic that does
   // not belong to pi is not charged to it). The path is the one in force
   // when the packet was created: under churn, traffic launched onto the
   // old path is judged against the old path, not the post-reroute one.
   const auto& path = paths_.path_at(p.hdr.src, p.hdr.dst, p.created);
-  return role.segment.within(path);
+  RoleLists lists;
+  for (std::size_t idx = 0; idx < roles_.size(); ++idx) {
+    const Role& role = roles_[idx];
+    const auto& seg = role.segment.nodes();
+    if (role.position >= seg.size() || seg[role.position] != router_) continue;
+    if (!role.segment.within(path)) continue;
+    (role.position + 1 == seg.size() ? lists.sink : lists.forward).push_back(idx);
+  }
+  return route_roles_.emplace(key, std::move(lists)).first->second;
 }
 
 void SummaryGenerator::record(Role& role, const sim::Packet& p) {
@@ -82,15 +85,21 @@ void SummaryGenerator::on_forward(const sim::Packet& p, util::NodeId prev, std::
                                   util::SimTime /*now*/) {
   if (!enabled_ || p.is_control()) return;  // only data-plane traffic is validated
   const util::NodeId next = net_.router(router_).interface(out_iface).peer();
-  for (Role& role : roles_) {
-    if (applies(role, p, prev, next)) record(role, p);
+  // Alignment with the neighbors named by the segment.
+  for (const std::size_t idx : roles_for(p).forward) {
+    Role& role = roles_[idx];
+    const auto& seg = role.segment.nodes();
+    const std::size_t i = role.position;
+    if (next == seg[i + 1] && (i == 0 || prev == seg[i - 1])) record(role, p);
   }
 }
 
 void SummaryGenerator::on_receive(const sim::Packet& p, util::NodeId prev, util::SimTime /*now*/) {
   if (!enabled_ || p.is_control()) return;
-  for (Role& role : roles_) {
-    if (applies(role, p, prev, std::nullopt)) record(role, p);
+  for (const std::size_t idx : roles_for(p).sink) {
+    Role& role = roles_[idx];
+    const std::size_t i = role.position;
+    if (i == 0 || prev == role.segment.nodes()[i - 1]) record(role, p);
   }
 }
 

@@ -9,11 +9,19 @@
 // Roles: at interior/source positions of a segment the router records at
 // forward time (what it sent onward); at the sink position it records at
 // receive time (what arrived off the segment).
+//
+// Which roles a packet can touch depends only on its (src, dst) and the
+// route epoch in force when it was created, so the generator resolves that
+// once per (epoch, src, dst): a memo maps the key to the indices of the
+// forward-time and sink roles that sit at this router and whose segment
+// lies within that epoch's path. Per packet the taps do one memo lookup
+// and check only the listed roles' neighbours (prev, next hop). monitor()
+// clears the memo, since a new role can belong to any cached list.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "crypto/keys.hpp"
@@ -72,6 +80,14 @@ class SummaryGenerator {
     validation::CounterSummary counters;
     std::vector<validation::Fingerprint> content;  // forwarding order
   };
+  /// Indices into roles_, ascending, of the roles one (epoch, src, dst)
+  /// can touch here: `forward` records at forward time, `sink` at receive.
+  struct RoleLists {
+    std::vector<std::size_t> forward;
+    std::vector<std::size_t> sink;
+  };
+  /// (route epoch index, src, dst).
+  using RouteKey = std::tuple<std::size_t, util::NodeId, util::NodeId>;
 
   void on_forward(const sim::Packet& p, util::NodeId prev, std::size_t out_iface,
                   util::SimTime now);
@@ -81,8 +97,9 @@ class SummaryGenerator {
   /// per-round buckets. Called when the batch reaches lane width and
   /// before any summary is taken.
   void flush_role(std::size_t idx);
-  [[nodiscard]] bool applies(const Role& role, const sim::Packet& p, util::NodeId prev,
-                             std::optional<util::NodeId> forwarded_to) const;
+  /// The roles `p` can touch here, judged against the path in force when
+  /// it was created; filled on first sight of its (epoch, src, dst).
+  [[nodiscard]] const RoleLists& roles_for(const sim::Packet& p);
 
   sim::Network& net_;
   const crypto::KeyRegistry& keys_;
@@ -97,6 +114,8 @@ class SummaryGenerator {
   std::vector<validation::Fingerprint> fp_scratch_;  // flush_role digest buffer
   // Keyed by (role index, round); flat store, std::map iteration order.
   util::FlatMap<std::pair<std::size_t, std::int64_t>, Bucket> buckets_;
+  // The per-route role memo described in the file comment.
+  util::FlatMap<RouteKey, RoleLists> route_roles_;
 };
 
 }  // namespace fatih::detection

@@ -29,6 +29,34 @@
 
 namespace fatih::detection::testing {
 
+/// Adds the diamond's routers r0..r3 and links (100 Mb/s, 1 ms, 64 kB
+/// queues) to `net`, leaving out the r1—r2 link unless `with_primary`,
+/// and returns the shortest-path tables of what it built.
+inline std::shared_ptr<routing::RoutingTables> add_diamond(sim::Network& net,
+                                                           bool with_primary = true) {
+  for (int i = 0; i < 4; ++i) net.add_router(std::string("r").append(std::to_string(i)));
+  auto link = [&](util::NodeId a, util::NodeId b, std::uint32_t metric) {
+    sim::LinkConfig cfg;
+    cfg.bandwidth_bps = 1e8;
+    cfg.delay = util::Duration::millis(1);
+    cfg.queue_limit_bytes = 64000;
+    cfg.metric = metric;
+    net.connect(a, b, cfg);
+  };
+  link(0, 1, 1);
+  if (with_primary) link(1, 2, 1);
+  link(0, 3, 5);
+  link(3, 2, 5);
+  return std::make_shared<routing::RoutingTables>(routing::Topology::from_network(net));
+}
+
+/// The diamond's tables alone: with the primary r0 -> r2 goes r0-r1-r2,
+/// without it the detour r0-r3-r2.
+inline std::shared_ptr<routing::RoutingTables> diamond_tables(bool with_primary) {
+  sim::Network net(1);
+  return add_diamond(net, with_primary);
+}
+
 struct ChurnNet {
   sim::Network net;
   crypto::KeyRegistry keys{4242};
@@ -39,17 +67,12 @@ struct ChurnNet {
   std::vector<std::unique_ptr<traffic::CbrSource>> sources;
 
   explicit ChurnNet(std::uint64_t seed = 7) : net(seed) {
-    for (int i = 0; i < 4; ++i) net.add_router(std::string("r").append(std::to_string(i)));
-    connect(0, 1, 1);
-    connect(1, 2, 1);
-    connect(0, 3, 5);
-    connect(3, 2, 5);
+    // Epoch 0: the converged steady state (central SPF agrees with what
+    // the daemons install once they converge, metrics being identical).
+    tables = add_diamond(net);
     for (util::NodeId i = 0; i < 4; ++i) {
       net.router(i).set_processing_delay(util::Duration::micros(20), util::Duration::micros(10));
     }
-    // Epoch 0: the converged steady state (central SPF agrees with what
-    // the daemons install once they converge, metrics being identical).
-    tables = std::make_shared<routing::RoutingTables>(routing::Topology::from_network(net));
     paths = std::make_unique<PathCache>(tables);
 
     routing::LinkStateConfig rc;
@@ -65,15 +88,6 @@ struct ChurnNet {
     keeper = std::make_unique<RouteEpochKeeper>(net, *lsr, *paths,
                                                 util::Duration::millis(1300));
     lsr->start();
-  }
-
-  void connect(util::NodeId a, util::NodeId b, std::uint32_t metric) {
-    sim::LinkConfig cfg;
-    cfg.bandwidth_bps = 1e8;
-    cfg.delay = util::Duration::millis(1);
-    cfg.queue_limit_bytes = 64000;
-    cfg.metric = metric;
-    net.connect(a, b, cfg);
   }
 
   /// Round clock starting after the routing fabric has converged.

@@ -19,29 +19,13 @@
 namespace fatih::detection {
 namespace {
 
+using testing::diamond_tables;
 using util::Duration;
 using util::NodeId;
 using util::SimTime;
 
 // ----------------------------------------------------------------------
 // PathCache epoch unit tests (no simulation: two hand-built table sets).
-
-std::shared_ptr<routing::RoutingTables> diamond_tables(bool with_primary) {
-  sim::Network net(1);
-  for (int i = 0; i < 4; ++i) net.add_router(std::string("r").append(std::to_string(i)));
-  auto link = [&](NodeId a, NodeId b, std::uint32_t metric) {
-    sim::LinkConfig cfg;
-    cfg.bandwidth_bps = 1e8;
-    cfg.delay = Duration::millis(1);
-    cfg.metric = metric;
-    net.connect(a, b, cfg);
-  };
-  link(0, 1, 1);
-  if (with_primary) link(1, 2, 1);
-  link(0, 3, 5);
-  link(3, 2, 5);
-  return std::make_shared<routing::RoutingTables>(routing::Topology::from_network(net));
-}
 
 TEST(PathCacheEpochs, AnswersAsOfTime) {
   PathCache cache(diamond_tables(true));

@@ -3,8 +3,9 @@
 # the committed BENCH_*.json artifacts from the repo root:
 #   tools/bench.sh              # reliable_control + churn
 #   tools/bench.sh churn        # just the named benches
-# Perf numbers are only meaningful from this preset — never cite a
-# RelWithDebInfo or sanitizer build.
+# This script only regenerates those artifacts. Speed claims come from
+# perfbench/ (perfbench/README.md) and same-machine A/Bs of two revisions
+# with tools/bench_compare.sh, never from these benches.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
