@@ -185,9 +185,9 @@ topo::TopoParams params_of(const TopoSpec& t) {
   return p;
 }
 
-/// Generated-topology base: sharded engine (4 shards by default), Pi2 or
-/// Pi(k+2) between PoP hub routers. The hub ids come from running the
-/// (deterministic) generator, so the spec stays plain data.
+/// Generated-topology base: Pi2 or Pi(k+2) between PoP hub routers. The
+/// hub ids come from running the (deterministic) generator, so the spec
+/// stays plain data.
 ScenarioSpec gen_base(const char* name, const TopoSpec& t, DetectorKind detector,
                       const topo::GeneratedTopology& g, std::uint64_t seed,
                       std::int64_t duration_ns) {
@@ -195,7 +195,6 @@ ScenarioSpec gen_base(const char* name, const TopoSpec& t, DetectorKind detector
   s.name = name;
   s.topology = TopologyKind::kGenerated;
   s.topo = t;
-  s.shards = 4;
   s.seed = seed;
   s.duration_ns = duration_ns;
   s.detector.kind = detector;
@@ -250,7 +249,6 @@ void add_generated(std::vector<ScenarioSpec>& all) {
     s.name = "gen_sprintlink_chi_drop";
     s.topology = TopologyKind::kGenerated;
     s.topo = sprint;
-    s.shards = 4;
     s.seed = 35;
     s.duration_ns = 5 * kSecond;
     s.detector.kind = DetectorKind::kChi;
@@ -272,10 +270,8 @@ void add_generated(std::vector<ScenarioSpec>& all) {
     wide.max_degree = 32;
     wide.seed = 2099;
     const topo::GeneratedTopology gw = topo::generate(params_of(wide));
-    ScenarioSpec s = gen_base("gen_wide_pik2_clean", wide, DetectorKind::kPik2, gw, 36,
-                              2 * kSecond);
-    s.shards = 8;
-    all.push_back(s);
+    all.push_back(gen_base("gen_wide_pik2_clean", wide, DetectorKind::kPik2, gw, 36,
+                           2 * kSecond));
   }
 }
 

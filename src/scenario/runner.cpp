@@ -1,6 +1,5 @@
 #include "scenario/runner.hpp"
 
-#include <numeric>
 #include <stdexcept>
 
 #include "attacks/attacks.hpp"
@@ -14,7 +13,6 @@
 #include "routing/topologies.hpp"
 #include "sim/churn.hpp"
 #include "sim/network.hpp"
-#include "sim/shard.hpp"
 #include "topo/generator.hpp"
 #include "traffic/sources.hpp"
 #include "traffic/tcp.hpp"
@@ -53,39 +51,6 @@ std::unique_ptr<topo::GeneratedTopology> make_generated(const ScenarioSpec& s) {
   return std::make_unique<topo::GeneratedTopology>(topo::generate(topo_params(s.topo)));
 }
 
-/// The subset of specs the sharded engine accepts. Everything rejected
-/// here touches cross-PoP shared state outside the lane/barrier protocol
-/// (churn mutates interfaces from the control plane, TCP acks schedule on
-/// both endpoints, kModify draws payload tags from the global rng,
-/// reliable transport re-arms per-destination timers from sink context).
-void check_shardable(const ScenarioSpec& s) {
-  if (s.shards == 0) return;
-  auto reject = [&](const char* why) {
-    throw std::invalid_argument("scenario '" + s.name + "' cannot shard: " + why);
-  };
-  if (s.topology != TopologyKind::kGenerated) reject("topology must be generated");
-  if (!s.churn.empty()) reject("churn is not supported");
-  if (s.detector.reliable) reject("reliable control transport is not supported");
-  for (const FlowSpec& f : s.flows) {
-    if (f.kind == FlowKind::kTcp) reject("tcp flows are not supported");
-  }
-  for (const AttackSpec& a : s.attacks) {
-    if (a.kind == AttackKind::kModify) reject("modify attacks are not supported");
-  }
-  if (s.detector.kind != DetectorKind::kChi && s.detector.terminals.empty()) {
-    reject("pi2/pik2 need an explicit terminal set");
-  }
-}
-
-sim::ShardPlan shard_plan(const topo::GeneratedTopology* gen, std::uint32_t shards) {
-  sim::ShardPlan plan;
-  if (gen == nullptr || shards == 0) return plan;
-  plan.pop_of = gen->pop_of;
-  plan.pops = gen->pops();
-  plan.lookahead = gen->min_inter_pop_delay();
-  return plan;
-}
-
 }  // namespace
 
 std::uint64_t StateDigest::hash() const {
@@ -104,8 +69,8 @@ std::uint64_t StateDigest::hash() const {
 
 struct ScenarioRun::Impl {
   ScenarioSpec spec;
-  // Declaration order is construction order: the generated topology (and
-  // the shard plan derived from it) must exist before the Network.
+  // Declaration order is construction order: the generated topology must
+  // exist before the Network.
   std::unique_ptr<topo::GeneratedTopology> gen;
   sim::Network net;
   crypto::KeyRegistry keys;
@@ -122,44 +87,22 @@ struct ScenarioRun::Impl {
   std::unique_ptr<detection::Pik2Engine> pik2{};
   std::unique_ptr<detection::QueueValidator> chi{};
 
-  /// Per-node forwarded/delivered counters: each slot is written only by
-  /// the node's own simulator (one PoP = one worker under the sharded
-  /// engine), so the taps stay race-free without atomics, and the summed
-  /// totals are identical to the old shared counters.
-  std::vector<std::uint64_t> forwarded_by_node{};
-  std::vector<std::uint64_t> delivered_by_node{};
-
-  std::unique_ptr<sim::ShardEngine> engine{};
+  std::uint64_t forwarded = 0;
+  std::uint64_t delivered = 0;
 
   std::vector<std::int64_t> checkpoint_times{};
   std::size_t next_checkpoint = 0;
   std::vector<Checkpoint> checkpoints{};
 
-  explicit Impl(const ScenarioSpec& s, unsigned threads)
-      : spec((check_shardable(s), s)),
-        gen(make_generated(s)),
-        net(s.seed, shard_plan(gen.get(), s.shards)),
-        keys(s.seed + kKeySeedSalt) {
+  explicit Impl(const ScenarioSpec& s)
+      : spec(s), gen(make_generated(s)), net(s.seed), keys(s.seed + kKeySeedSalt) {
     build_topology();
     install_counters();
     build_traffic();
     build_attacks();
     build_churn();
     build_detector();
-    warm_path_cache();
     plan_checkpoints();
-    if (spec.shards > 0) {
-      engine = std::make_unique<sim::ShardEngine>(net, threads > 0 ? threads : spec.shards);
-    }
-  }
-
-  [[nodiscard]] std::uint64_t forwarded() const {
-    return std::accumulate(forwarded_by_node.begin(), forwarded_by_node.end(),
-                           std::uint64_t{0});
-  }
-  [[nodiscard]] std::uint64_t delivered() const {
-    return std::accumulate(delivered_by_node.begin(), delivered_by_node.end(),
-                           std::uint64_t{0});
   }
 
   [[nodiscard]] std::int64_t end_ns() const { return spec.duration_ns + kDrainNs; }
@@ -256,15 +199,11 @@ struct ScenarioRun::Impl {
   }
 
   void install_counters() {
-    forwarded_by_node.assign(net.node_count(), 0);
-    delivered_by_node.assign(net.node_count(), 0);
     for (util::NodeId n = 0; n < net.node_count(); ++n) {
-      std::uint64_t& fwd = forwarded_by_node[n];
       net.router(n).add_forward_tap(
-          [&fwd](const sim::Packet&, util::NodeId, std::size_t, SimTime) { ++fwd; });
-      std::uint64_t& del = delivered_by_node[n];
+          [this](const sim::Packet&, util::NodeId, std::size_t, SimTime) { ++forwarded; });
       net.node(n).add_local_handler(
-          [&del](const sim::Packet&, util::NodeId, SimTime) { ++del; });
+          [this](const sim::Packet&, util::NodeId, SimTime) { ++delivered; });
     }
   }
 
@@ -414,8 +353,7 @@ struct ScenarioRun::Impl {
         cfg.reliable.enabled = spec.detector.reliable;
         // The monitored queue is between the last two routers (r -> rd on
         // the Fig. 6.4 fabric, the line's tail link elsewhere) — except on
-        // generated graphs, which designate a bottleneck pair confined to
-        // PoP 0 so every chi tap fires on one shard.
+        // generated graphs, which designate a bottleneck pair inside PoP 0.
         const auto owner = gen != nullptr
                                ? gen->chi_owner
                                : static_cast<util::NodeId>(net.node_count() - 2);
@@ -426,33 +364,6 @@ struct ScenarioRun::Impl {
         chi->start();
         break;
       }
-    }
-  }
-
-  void warm_path_cache() {
-    if (!net.sharded()) return;
-    // The PathCache memoizes lazily through a shared map. Under the
-    // sharded engine the per-packet summary taps query it from every PoP
-    // worker, so resolve every pair they can ask for — data-flow pairs,
-    // the monitored terminal matrix, and the chi bottleneck endpoints —
-    // while construction is still single-threaded.
-    auto warm = [this](util::NodeId a, util::NodeId b) {
-      if (a == b) return;
-      (void)paths->path(a, b);
-      (void)paths->path(b, a);
-    };
-    for (const FlowSpec& f : spec.flows) warm(f.src, f.dst);
-    if (spec.detector.kind != DetectorKind::kChi) {
-      const std::vector<util::NodeId> ts = terminals();
-      for (util::NodeId a : ts) {
-        for (util::NodeId b : ts) {
-          if (a != b) (void)paths->path(a, b);
-        }
-      }
-    }
-    if (gen != nullptr) {
-      warm(gen->chi_owner, gen->chi_peer);
-      warm(gen->chi_feed, gen->chi_peer);
     }
   }
 
@@ -485,17 +396,11 @@ struct ScenarioRun::Impl {
   [[nodiscard]] StateDigest make_digest() {
     StateDigest d;
     d.t_ns = net.sim().now().nanos();
-    // Sharded runs fold over the control + per-PoP simulators and the
-    // per-node rng streams; each ingredient is worker-count-invariant, so
-    // the digest depends on the spec (incl. shard count) alone. Classic
-    // runs keep their original single-simulator digest byte-for-byte.
-    d.dispatched =
-        engine != nullptr ? engine->total_dispatched() : net.sim().events_dispatched();
-    d.forwarded = forwarded();
-    d.delivered = delivered();
-    d.rng_hash = net.sharded() ? net.rng_fingerprint() : net.rng().state_hash();
-    d.pending_hash =
-        engine != nullptr ? engine->pending_fingerprint() : net.sim().pending_fingerprint();
+    d.dispatched = net.sim().events_dispatched();
+    d.forwarded = forwarded;
+    d.delivered = delivered;
+    d.rng_hash = net.rng().state_hash();
+    d.pending_hash = net.sim().pending_fingerprint();
     d.detector_hash = detector_fingerprint();
     std::uint64_t sh = util::kFnvOffsetBasis;
     for (const auto& s : suspicions()) {
@@ -507,32 +412,20 @@ struct ScenarioRun::Impl {
     return d;
   }
 
-  void advance(std::int64_t t_ns) {
-    if (engine != nullptr) {
-      engine->run_until(SimTime::from_nanos(t_ns));
-    } else {
-      net.sim().run_until(SimTime::from_nanos(t_ns));
-    }
-  }
-
   void run_to(std::int64_t t_ns) {
     if (t_ns > end_ns()) t_ns = end_ns();
     while (next_checkpoint < checkpoint_times.size() &&
            checkpoint_times[next_checkpoint] <= t_ns) {
       const std::int64_t at = checkpoint_times[next_checkpoint];
-      advance(at);
+      net.sim().run_until(SimTime::from_nanos(at));
       checkpoints.push_back(Checkpoint{at, make_digest().hash()});
       ++next_checkpoint;
     }
-    advance(t_ns);
+    net.sim().run_until(SimTime::from_nanos(t_ns));
   }
 };
 
-ScenarioRun::ScenarioRun(const ScenarioSpec& spec)
-    : impl_(std::make_unique<Impl>(spec, 0)) {}
-
-ScenarioRun::ScenarioRun(const ScenarioSpec& spec, unsigned threads)
-    : impl_(std::make_unique<Impl>(spec, threads)) {}
+ScenarioRun::ScenarioRun(const ScenarioSpec& spec) : impl_(std::make_unique<Impl>(spec)) {}
 
 ScenarioRun::~ScenarioRun() = default;
 
@@ -541,6 +434,10 @@ void ScenarioRun::run_to(std::int64_t t_ns) { impl_->run_to(t_ns); }
 std::int64_t ScenarioRun::end_time_ns() const { return impl_->end_ns(); }
 
 StateDigest ScenarioRun::digest() const { return impl_->make_digest(); }
+
+const std::vector<detection::Suspicion>& ScenarioRun::suspicions() const {
+  return impl_->suspicions();
+}
 
 std::vector<std::string> ScenarioRun::suspicion_strings() const {
   std::vector<std::string> out;
@@ -570,10 +467,9 @@ ScenarioResult ScenarioRun::finish() {
   ScenarioResult r;
   r.name = impl_->spec.name;
   r.spec_hash = spec_hash(impl_->spec);
-  r.forwarded = impl_->forwarded();
-  r.delivered = impl_->delivered();
-  r.dispatched = impl_->engine != nullptr ? impl_->engine->total_dispatched()
-                                          : impl_->net.sim().events_dispatched();
+  r.forwarded = impl_->forwarded;
+  r.delivered = impl_->delivered;
+  r.dispatched = impl_->net.sim().events_dispatched();
   r.final_digest = impl_->make_digest().hash();
   r.suspicions = suspicion_strings();
   r.checkpoints = impl_->checkpoints;
@@ -582,11 +478,6 @@ ScenarioResult ScenarioRun::finish() {
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
   ScenarioRun run(spec);
-  return run.finish();
-}
-
-ScenarioResult run_scenario(const ScenarioSpec& spec, unsigned threads) {
-  ScenarioRun run(spec, threads);
   return run.finish();
 }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "detection/types.hpp"
 #include "scenario/spec.hpp"
 
 namespace fatih::detection { class QueueValidator; }
@@ -63,11 +64,6 @@ struct ScenarioResult {
 class ScenarioRun {
  public:
   explicit ScenarioRun(const ScenarioSpec& spec);
-  /// Overrides the worker-thread count for sharded specs (spec.shards > 0);
-  /// 0 means "use spec.shards". The digest is thread-count-invariant, so
-  /// any value reproduces the same run — this knob exists for the
-  /// differential tests and the shard bench. Ignored for classic specs.
-  ScenarioRun(const ScenarioSpec& spec, unsigned threads);
   ~ScenarioRun();
   ScenarioRun(const ScenarioRun&) = delete;
   ScenarioRun& operator=(const ScenarioRun&) = delete;
@@ -85,7 +81,11 @@ class ScenarioRun {
   /// Digest of the current state (current sim time).
   [[nodiscard]] StateDigest digest() const;
 
-  /// Suspicions raised so far, rendered in raise order.
+  /// Suspicions raised so far, in raise order: the structured records the
+  /// accuracy / completeness checkers (detection/spec.hpp) take.
+  [[nodiscard]] const std::vector<detection::Suspicion>& suspicions() const;
+
+  /// The same suspicions, rendered.
   [[nodiscard]] std::vector<std::string> suspicion_strings() const;
 
   /// Checkpoints captured so far (round boundaries passed by run_to).
@@ -110,7 +110,5 @@ class ScenarioRun {
 
 /// Convenience: straight run of `spec`, start to finish.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec);
-/// Same, with a worker-thread override for sharded specs (0 = spec.shards).
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec, unsigned threads);
 
 }  // namespace fatih::scenario

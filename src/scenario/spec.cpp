@@ -211,11 +211,6 @@ std::string encode(const ScenarioSpec& spec) {
     append_kv(out, "inter_delay_ns", t.inter_delay_ns);
     out += '\n';
   }
-  if (spec.shards > 0) {
-    out += "engine";
-    append_kv_u(out, "shards", spec.shards);
-    out += '\n';
-  }
   if (spec.proc_jitter_ns.has_value()) {
     out += "processing";
     append_kv(out, "jitter_ns", *spec.proc_jitter_ns);
@@ -329,13 +324,8 @@ bool decode(const std::string& text, ScenarioSpec& out, std::string& error) {
         if (!ok) return fail("bad topo value for '" + std::string(tk.key) + "'");
       }
     } else if (stmt == "engine") {
-      if (!split_tokens(rest, toks, error)) return fail(error);
-      for (const Token& tk : toks) {
-        bool ok = true;
-        if (tk.key == "shards") ok = parse_u32(tk.value, out.shards);
-        else return fail("unknown engine key '" + std::string(tk.key) + "'");
-        if (!ok) return fail("bad engine value for '" + std::string(tk.key) + "'");
-      }
+      return fail("'engine' is no longer a statement: the sharded engine was removed "
+                  "(delete the line; every spec runs on the one event engine)");
     } else if (stmt == "processing") {
       if (!split_tokens(rest, toks, error)) return fail(error);
       for (const Token& tk : toks) {
@@ -455,6 +445,10 @@ bool validate(const ScenarioSpec& spec, std::string& error) {
   };
   if (spec.detector.tau_ns <= 0) {
     error = "detector tau_ns must be positive";
+    return false;
+  }
+  if (spec.shards != 0) {
+    error = "shards must be 0: the sharded engine was removed";
     return false;
   }
   if (spec.proc_jitter_ns.value_or(0) < 0) {

@@ -46,7 +46,7 @@ struct TopoSpec {
   std::uint32_t max_degree = 24;
   std::uint64_t seed = 1;
   std::int64_t intra_delay_ns = 200'000;    ///< intra-PoP propagation delay
-  std::int64_t inter_delay_ns = 2'000'000;  ///< inter-PoP delay = shard lookahead
+  std::int64_t inter_delay_ns = 2'000'000;  ///< inter-PoP (backbone) link delay
 };
 
 /// Which detection protocol the scenario commissions.
@@ -130,12 +130,7 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
   std::int64_t duration_ns = 0;  ///< traffic horizon; run ends 2 s later
   TopoSpec topo{};               ///< generated-topology knobs (kGenerated only)
-  /// 0 = classic single-simulator engine. > 0 selects the sharded engine
-  /// (one simulator per PoP) and is the default worker-thread count; runs
-  /// may override the thread count without changing the digest, which is
-  /// shard-count- and thread-count-invariant by construction. Encoded as
-  /// `engine shards=N` only when non-zero, so existing specs keep their
-  /// byte-identical canonical form.
+  /// Inert: validate() requires 0; its only user is perfbench/src/traced.cpp.
   std::uint32_t shards = 0;
   /// Maximum per-router processing jitter; unset = the topology's default
   /// (see runner.cpp). Encoded as `processing jitter_ns=N` only when set.

@@ -3,38 +3,22 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "util/hash.hpp"
-
 namespace fatih::sim {
 
 Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
-Network::Network(std::uint64_t seed, ShardPlan plan)
-    : seed_(seed), rng_(seed), plan_(std::move(plan)) {
-  // An empty plan degrades to the classic single-simulator network, so
-  // callers can build either mode through one constructor.
-  if (plan_.pops == 0) return;
-  assert(plan_.lookahead > util::Duration{});
-  pop_sims_.reserve(plan_.pops);
-  for (std::uint32_t pop = 0; pop < plan_.pops; ++pop) {
-    pop_sims_.push_back(std::make_unique<Simulator>());
-  }
-}
-
 Router& Network::add_router(std::string name) {
   const auto id = static_cast<util::NodeId>(nodes_.size());
   nodes_.push_back(
-      std::make_unique<Router>(node_sim(id), id, std::move(name), rng_.next_u64()));
+      std::make_unique<Router>(sim_, id, std::move(name), rng_.next_u64()));
   node_is_router_.push_back(true);
-  if (sharded()) identities_.push_back(NodeIdentity{util::Rng(rng_.next_u64()), 1});
   return static_cast<Router&>(*nodes_.back());
 }
 
 Host& Network::add_host(std::string name) {
   const auto id = static_cast<util::NodeId>(nodes_.size());
-  nodes_.push_back(std::make_unique<Host>(node_sim(id), id, std::move(name)));
+  nodes_.push_back(std::make_unique<Host>(sim_, id, std::move(name)));
   node_is_router_.push_back(false);
-  if (sharded()) identities_.push_back(NodeIdentity{util::Rng(rng_.next_u64()), 1});
   return static_cast<Host&>(*nodes_.back());
 }
 
@@ -53,13 +37,6 @@ void Network::connect(util::NodeId a, util::NodeId b, const LinkConfig& cfg) {
   Interface& ba = nodes_[b]->add_interface(a, link, make_queue(cfg));
   ab.set_peer_node(nodes_[b].get());
   ba.set_peer_node(nodes_[a].get());
-  if (sharded() && plan_.remote(a, b)) {
-    // PoP-crossing traffic goes through the shard lanes; the conservative
-    // window is only sound if every such link respects the lookahead.
-    assert(cfg.delay >= plan_.lookahead);
-    ab.set_remote(true);
-    ba.set_remote(true);
-  }
 
   adjacencies_.push_back(Adjacency{a, b, cfg.metric, link});
   adjacencies_.push_back(Adjacency{b, a, cfg.metric, link});
@@ -158,31 +135,10 @@ Packet Network::make_packet(PacketHeader hdr, std::uint32_t payload_bytes) {
   Packet p;
   p.hdr = hdr;
   p.size_bytes = kHeaderBytes + payload_bytes;
-  if (sharded()) {
-    // Per-node identity streams: the creating node's PoP worker is the
-    // only consumer, so no global state is touched from the parallel pass,
-    // and the stream position is a function of that PoP's (worker-count-
-    // invariant) event order alone. Uids stay globally unique by packing
-    // the node id into the high bits.
-    NodeIdentity& ident = identities_.at(hdr.src);
-    p.payload_tag = ident.rng.next_u64();
-    p.uid = (static_cast<std::uint64_t>(hdr.src) + 1) << 40 | ident.next_uid++;
-    p.created = node_sim(hdr.src).now();
-  } else {
-    p.payload_tag = rng_.next_u64();
-    p.uid = next_uid_++;
-    p.created = sim_.now();
-  }
+  p.payload_tag = rng_.next_u64();
+  p.uid = next_uid_++;
+  p.created = sim_.now();
   return p;
-}
-
-std::uint64_t Network::rng_fingerprint() const {
-  std::uint64_t h = util::fnv1a64_word(util::kFnvOffsetBasis, rng_.state_hash());
-  for (const NodeIdentity& ident : identities_) {
-    h = util::fnv1a64_word(h, ident.rng.state_hash());
-    h = util::fnv1a64_word(h, ident.next_uid);
-  }
-  return h;
 }
 
 }  // namespace fatih::sim

@@ -54,34 +54,13 @@ class Network {
   using NodeStatusHook = std::function<void(util::NodeId node, bool up, util::SimTime)>;
 
   explicit Network(std::uint64_t seed);
-  /// Sharded mode: one Simulator per PoP plus the control simulator that
-  /// sim() returns (round timers land there). Nodes must subsequently be
-  /// added in id order so `plan.pop_of` lines up. Packet identity (uid /
-  /// payload tag) switches to per-node streams so no global rng is touched
-  /// from the parallel pass.
-  Network(std::uint64_t seed, ShardPlan plan);
+  /// Same as Network(seed); its only user is perfbench/src/traced.cpp.
+  Network(std::uint64_t seed, ShardPlan /*inert*/) : Network(seed) {}
 
-  /// The control simulator in sharded mode; the only simulator otherwise.
+  /// The network's one event loop.
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] util::Rng& rng() { return rng_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-
-  // ------------------------------------------------------------- sharding
-  [[nodiscard]] bool sharded() const { return !pop_sims_.empty(); }
-  [[nodiscard]] const ShardPlan& plan() const { return plan_; }
-  /// The simulator a node's events run on: its PoP's simulator when
-  /// sharded, sim() otherwise. Traffic agents pinned to a node must
-  /// schedule here, never on sim().
-  [[nodiscard]] Simulator& node_sim(util::NodeId id) {
-    return pop_sims_.empty() ? sim_ : *pop_sims_[plan_.pop_of[id]];
-  }
-  [[nodiscard]] std::uint32_t pop_count() const {
-    return static_cast<std::uint32_t>(pop_sims_.size());
-  }
-  [[nodiscard]] Simulator& pop_sim(std::uint32_t pop) { return *pop_sims_.at(pop); }
-  /// RNG digest for state fingerprints: the global stream, plus — sharded
-  /// only — every per-node identity stream in node order.
-  [[nodiscard]] std::uint64_t rng_fingerprint() const;
 
   Router& add_router(std::string name);
   Host& add_host(std::string name);
@@ -157,15 +136,6 @@ class Network {
   std::uint64_t seed_;
   Simulator sim_;
   util::Rng rng_;
-  ShardPlan plan_;
-  std::vector<std::unique_ptr<Simulator>> pop_sims_;
-  /// Per-node packet identity streams (sharded mode only): uid counter and
-  /// payload-tag rng, consumed exclusively by the owning PoP's worker.
-  struct NodeIdentity {
-    util::Rng rng;
-    std::uint64_t next_uid;
-  };
-  std::vector<NodeIdentity> identities_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<bool> node_is_router_;
   std::vector<Adjacency> adjacencies_;

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "sim/shard.hpp"
 #include "util/log.hpp"
 
 namespace fatih::sim {
@@ -229,14 +228,6 @@ struct Interface::TransmitEvent {
     if (self->fault_injector_) fault = self->fault_injector_(p, self->sim_.now());
     if (fault.drop) {
       self->notify_drop(p, DropReason::kLinkFault);
-    } else if (self->remote_ && self->sim_.shard_lane() != nullptr) {
-      // PoP-crossing link under the sharded engine: park the packet in
-      // this PoP's lane with its arrival time. The propagation delay is at
-      // least the conservative lookahead, so the arrival lands beyond the
-      // current window and the barrier install is always a future
-      // schedule on the peer PoP's simulator.
-      self->sim_.shard_lane()->defer_data(
-          self->sim_.now() + self->link_.delay + fault.extra_delay, self, epoch, std::move(p));
     } else {
       propagating = true;
       self->sim_.rearm_current(self->link_.delay + fault.extra_delay);
@@ -244,16 +235,6 @@ struct Interface::TransmitEvent {
     self->try_transmit();
   }
 };
-
-void Interface::complete_propagation(Packet&& p, std::uint64_t epoch) {
-  // Same arrival semantics as TransmitEvent stage 2; runs on the peer
-  // PoP's simulator via the barrier-installed delivery event.
-  if (epoch != down_epoch_) {
-    notify_drop(p, DropReason::kLinkDown);
-    return;
-  }
-  if (peer_node_ != nullptr) peer_node_->receive(std::move(p), owner_.id());
-}
 
 void Interface::start_transmit(Packet p) {
   busy_ = true;
@@ -294,15 +275,6 @@ void Node::fire_receive_taps(const Packet& p, util::NodeId prev) {
 
 void Node::deliver_locally(const Packet& p, util::NodeId prev) {
   if (p.is_control()) {
-    // Sharded engine: control sinks mutate detection-engine state that is
-    // shared across PoPs, so the delivery is deferred to this PoP's lane
-    // and replayed serially at the window barrier in canonical (time,
-    // PoP, emission) order. Active at every worker count — including one —
-    // so the replay order never depends on parallelism.
-    if (ShardLane* lane = sim_.shard_lane()) {
-      lane->defer_control(sim_.now(), this, prev, p);
-      return;
-    }
     for (const auto& sink : control_sinks_) sink(p, prev, sim_.now());
     return;
   }

@@ -125,18 +125,6 @@ class Interface {
   /// Used by Node::deliver_to_peer; set once during Network wiring.
   void set_peer_node(Node* peer_node) { peer_node_ = peer_node; }
 
-  /// Marks this interface as PoP-crossing (sharded engine): packets that
-  /// finish serializing are parked in the owner simulator's ShardLane
-  /// instead of rearming a propagation event, and arrive on the peer's
-  /// simulator via complete_propagation at the window barrier.
-  void set_remote(bool remote) { remote_ = remote; }
-  [[nodiscard]] bool remote() const { return remote_; }
-
-  /// Second transmit stage for lane-delivered packets: runs on the *peer*
-  /// PoP's simulator, checks the captured down-epoch, and hands the packet
-  /// to the peer node. Mirrors TransmitEvent's arrival stage exactly.
-  void complete_propagation(Packet&& p, std::uint64_t epoch);
-
   /// Ground-truth drop notification used by Router for non-queue drops.
   void notify_drop(const Packet& p, DropReason reason);
 
@@ -178,7 +166,6 @@ class Interface {
   util::Duration tx_memo_{};
   bool busy_ = false;
   bool up_ = true;
-  bool remote_ = false;  ///< PoP-crossing (sharded engine lane handoff)
   /// Incremented every time the link goes down; serialization/propagation
   /// events capture the epoch at schedule time and discard themselves if
   /// the link failed underneath them.
@@ -262,13 +249,6 @@ class Node {
   /// originates nothing. Driven by Network::crash_router / restart_router.
   void set_up(bool up) { up_ = up; }
   [[nodiscard]] bool up() const { return up_; }
-
-  /// Barrier replay of a control delivery the sharded engine deferred:
-  /// fires the control sinks with the recorded delivery time. Only the
-  /// ShardEngine calls this, in canonical (time, PoP, emission) order.
-  void deliver_control_direct(const Packet& p, util::NodeId prev, util::SimTime at) {
-    for (const auto& sink : control_sinks_) sink(p, prev, at);
-  }
 
  protected:
   void fire_receive_taps(const Packet& p, util::NodeId prev);

@@ -1,149 +1,9 @@
-// Sharded event engine: PoP-partitioned simulators, conservative windows,
-// deterministic cross-PoP merge.
-//
-// The partition unit is the PoP, not the worker: a sharded Network gives
-// every PoP its own Simulator (plus one control simulator for protocol
-// round timers), and worker threads merely execute disjoint sets of PoP
-// simulators inside each window. Because a PoP's event stream never
-// depends on which worker ran it, every count and digest is byte-identical
-// at any worker count — the determinism argument reduces to making the
-// *inputs* of each PoP simulator worker-count-invariant:
-//
-//   1. Window grid. Each step runs every PoP simulator through the
-//      half-open window [t_min, w_end) where t_min is the global earliest
-//      pending-event time and w_end = t_min + L, with L the minimum
-//      propagation delay over PoP-crossing links (src/topo guarantees a
-//      uniform inter-PoP delay, and only core routers carry such links).
-//      t_min uses Simulator::next_event_time(), whose tombstone-inclusive
-//      lower bound is itself deterministic, so the grid is a pure function
-//      of the (deterministic) event streams.
-//
-//   2. Cross-PoP sends. A packet finishing serialization on a PoP-crossing
-//      interface is not delivered by rearming the transmit event; it is
-//      parked in the source PoP's ShardLane with its arrival time
-//      t_tx + delay. Since t_tx >= t_min and delay >= L, the arrival is
-//      never inside the current window, so installing it at the barrier —
-//      walking lanes in ascending source-PoP order, emissions in order —
-//      is always a future schedule. The merge tie-break is therefore the
-//      fixed (time, source shard, emission seq) order the installs imprint
-//      through the destination simulator's FIFO seq.
-//
-//   3. Control deliveries. Control-plane packets reaching their
-//      destination during the parallel pass are deferred to the node's
-//      PoP lane instead of firing sinks inline (engine state is shared
-//      across PoPs). At the barrier they replay serially in (time, PoP,
-//      emission) order, then the control simulator — which owns every
-//      protocol round timer — runs through the same window. Deferral is
-//      active whenever the network is sharded, including at one worker,
-//      so the replay order never depends on the worker count.
-//
-// Raw threading primitives live in src/sim/shard.cpp only; fatih-lint rule
-// R9 (thread-containment) keeps it that way.
 #pragma once
-
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "sim/node.hpp"
-#include "sim/packet.hpp"
-#include "util/time.hpp"
-#include "util/types.hpp"
 
 namespace fatih::sim {
 
-class Network;
-
-/// Static PoP partition of the node-id space. Built from a generated
-/// topology (src/topo) before the Network is constructed; node ids must be
-/// added to the Network in id order so `pop_of` lines up.
-struct ShardPlan {
-  std::vector<std::uint32_t> pop_of;  ///< node id -> PoP index
-  std::uint32_t pops = 0;
-  /// Conservative lookahead: minimum propagation delay over PoP-crossing
-  /// links. Must be positive and no larger than any inter-PoP link delay.
-  util::Duration lookahead;
-
-  [[nodiscard]] bool remote(util::NodeId a, util::NodeId b) const {
-    return pop_of[a] != pop_of[b];
-  }
-};
-
-/// Per-PoP handoff buffer, written only by the worker executing that PoP's
-/// simulator during the parallel pass and drained only by the barrier on
-/// the coordinating thread — single-writer by construction, so the lanes
-/// need no synchronization beyond the pass/barrier ordering itself.
-class ShardLane {
- public:
-  /// A packet that finished serializing on a PoP-crossing interface;
-  /// `at` is its (future, >= window end) arrival time at the peer.
-  struct DataHandoff {
-    util::SimTime at;
-    Interface* iface;
-    std::uint64_t epoch;  ///< link down-epoch captured at serialization
-    Packet p;
-  };
-  /// A control-plane packet that reached its destination node; sinks fire
-  /// at the barrier in canonical order instead of inline.
-  struct ControlHandoff {
-    util::SimTime at;
-    Node* node;
-    util::NodeId prev;
-    Packet p;
-  };
-
-  void defer_data(util::SimTime at, Interface* iface, std::uint64_t epoch, Packet&& p) {
-    data_.push_back(DataHandoff{at, iface, epoch, std::move(p)});
-  }
-  void defer_control(util::SimTime at, Node* node, util::NodeId prev, const Packet& p) {
-    control_.push_back(ControlHandoff{at, node, prev, p});
-  }
-
-  [[nodiscard]] std::vector<DataHandoff>& data() { return data_; }
-  [[nodiscard]] std::vector<ControlHandoff>& control() { return control_; }
-
- private:
-  std::vector<DataHandoff> data_;
-  std::vector<ControlHandoff> control_;
-};
-
-/// The window scheduler + worker pool. Owns the lanes and a persistent
-/// pool of `workers - 1` threads (one worker runs inline on the calling
-/// thread; workers == 1 spawns no thread at all). The Network must be
-/// built in sharded mode (per-PoP simulators) before constructing this.
-class ShardEngine {
- public:
-  ShardEngine(Network& net, unsigned workers);
-  ~ShardEngine();
-  ShardEngine(const ShardEngine&) = delete;
-  ShardEngine& operator=(const ShardEngine&) = delete;
-
-  /// Co-advances every simulator (PoP + control) to `limit` through
-  /// conservative windows; on return all simulators sit at now() == limit
-  /// with no pending event at or before it.
-  void run_until(util::SimTime limit);
-
-  [[nodiscard]] unsigned workers() const { return workers_; }
-  /// Sum of events dispatched across the control and PoP simulators.
-  [[nodiscard]] std::uint64_t total_dispatched() const;
-  /// FNV fold of per-simulator pending fingerprints in fixed (control,
-  /// PoP 0..P-1) order; each per-PoP fingerprint is worker-count-invariant,
-  /// so the fold is too.
-  [[nodiscard]] std::uint64_t pending_fingerprint() const;
-
- private:
-  struct Pool;  // the threading internals live in shard.cpp only
-
-  void parallel_pass(util::SimTime w_last);
-  void run_pops_of_worker(unsigned worker, util::SimTime w_last);
-  void worker_loop(unsigned worker);
-  void drain_lanes();
-
-  Network& net_;
-  unsigned workers_;
-  std::vector<ShardLane> lanes_;
-  std::vector<ShardLane::ControlHandoff> control_scratch_;
-  std::unique_ptr<Pool> pool_;
-};
+/// Inert tag with no members; its only user is perfbench/src/traced.cpp,
+/// which still passes it to the two-argument Network constructor.
+struct ShardPlan {};
 
 }  // namespace fatih::sim

@@ -36,8 +36,6 @@
 
 namespace fatih::sim {
 
-class ShardLane;  // cross-PoP handoff buffer (src/sim/shard.hpp)
-
 /// Handle used to cancel a scheduled event. Encodes (generation << 32) |
 /// slot; generations start at 1, so 0 is never a live id and a
 /// default-initialized handle is always safe to cancel.
@@ -142,27 +140,6 @@ class Simulator {
 
   /// Number of events dispatched so far (for tests / sanity checks).
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
-
-  /// True when any pending entry remains in either tier. Cancelled
-  /// tombstones count: the sharded window scheduler only needs a
-  /// conservative lower bound on the next dispatch time, and tombstone
-  /// placement is itself deterministic, so including them keeps the
-  /// window grid identical at every worker count.
-  [[nodiscard]] bool has_pending() const {
-    return near_head_ < near_.size() || !heap_.empty();
-  }
-  /// Earliest pending entry time (tombstones included, same conservative
-  /// contract as has_pending). O(1): the near tier is sorted and always
-  /// earlier than the far heap. Requires has_pending().
-  [[nodiscard]] util::SimTime next_event_time() const {
-    return near_head_ < near_.size() ? near_[near_head_].at : heap_.front().at;
-  }
-
-  /// Cross-PoP handoff lane for the sharded engine; null in the classic
-  /// single-simulator engine, which changes nothing on the hot path beyond
-  /// one pointer test on cross-PoP sends and control deliveries.
-  void set_shard_lane(ShardLane* lane) { shard_lane_ = lane; }
-  [[nodiscard]] ShardLane* shard_lane() const { return shard_lane_; }
 
   /// Order-independent FNV fingerprint of the live pending queue: every
   /// armed (time, seq|slot) entry across both tiers, folded in (at, key)
@@ -450,7 +427,6 @@ class Simulator {
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::PacketCounters packet_counters_;
-  ShardLane* shard_lane_ = nullptr;
 
   std::vector<std::unique_ptr<EventRecord[]>> chunks_;
   std::uint32_t slot_count_ = 0;   ///< slots materialized across all chunks

@@ -9,16 +9,14 @@
 // backbone ring plus preferential chords between PoPs, and intra-PoP fill
 // links up to the target link count.
 //
-// Two structural guarantees are load-bearing for the sharded engine
-// (src/sim/shard.hpp):
+// Two structural guarantees the scenarios build on:
 //   1. Inter-PoP links exist only between the per-PoP *core* routers, and
 //      every inter-PoP link has the same propagation delay
-//      `inter_delay_ns` — the conservative lookahead window. Core routers
-//      are the first `core_count(pop)` ids of each PoP.
+//      `inter_delay_ns`. Core routers are the first `core_count(pop)` ids
+//      of each PoP.
 //   2. A designated chi bottleneck (chi_owner -> chi_peer, fed by
 //      chi_feed) sits entirely inside PoP 0 with every neighbor of
-//      chi_owner also in PoP 0, so all of Protocol chi's taps fire on one
-//      shard.
+//      chi_owner also in PoP 0.
 //
 // Same params (including seed) => byte-identical topology, pinned by
 // digest() in tests/topo/.
@@ -28,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/time.hpp"
 #include "util/types.hpp"
 
 namespace fatih::topo {
@@ -42,7 +39,7 @@ struct TopoParams {
   std::uint32_t max_degree = 45;  ///< per-node cap, matches Rocketfuel's hubs
   std::uint64_t seed = 1;
   std::int64_t intra_delay_ns = 200'000;    ///< 0.2 ms metro links
-  std::int64_t inter_delay_ns = 2'000'000;  ///< 2 ms backbone links = lookahead
+  std::int64_t inter_delay_ns = 2'000'000;  ///< 2 ms backbone links
   double bandwidth_bps = 1e8;
   std::uint32_t queue_limit_bytes = 64000;
 };
@@ -79,11 +76,6 @@ struct GeneratedTopology {
   /// Rocketfuel shape the property tests pin.
   [[nodiscard]] std::array<std::uint32_t, 6> degree_histogram() const;
   [[nodiscard]] bool connected() const;
-  /// Minimum propagation delay over PoP-crossing links — the sharded
-  /// engine's conservative lookahead. Uniform by construction.
-  [[nodiscard]] util::Duration min_inter_pop_delay() const {
-    return util::Duration::nanos(params.inter_delay_ns);
-  }
   /// FNV-1a over every structural byte (params, pops, links, designated
   /// nodes); the seed-stability tests pin this.
   [[nodiscard]] std::uint64_t digest() const;
@@ -95,7 +87,7 @@ struct GeneratedTopology {
 
 /// True iff the parameters describe a generatable graph (enough routers
 /// per PoP, link budget at least the spanning structure, inter delay
-/// strictly greater than intra so the lookahead window is non-trivial).
+/// strictly greater than intra).
 [[nodiscard]] bool validate(const TopoParams& p);
 
 /// Rocketfuel presets (dissertation Table 5.x): Sprintlink 315/972/45 and

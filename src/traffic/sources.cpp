@@ -46,13 +46,11 @@ void send_burst(sim::Network& net, util::NodeId src, util::NodeId dst, std::uint
 // ---------------------------------------------------------------- CbrSource
 
 CbrSource::CbrSource(sim::Network& net, Config config) : net_(net), config_(config) {
-  // Timers live on the source node's simulator (its PoP shard when the
-  // network is sharded, the lone simulator otherwise).
-  net_.node_sim(config_.src).schedule_at(config_.start, [this] { tick(); });
+  net_.sim().schedule_at(config_.start, [this] { tick(); });
 }
 
 void CbrSource::tick() {
-  sim::Simulator& sim = net_.node_sim(config_.src);
+  sim::Simulator& sim = net_.sim();
   if (sim.now() >= config_.stop) return;
   const std::uint32_t burst = config_.packets_per_tick > 0 ? config_.packets_per_tick : 1;
   if (burst == 1) {
@@ -71,11 +69,11 @@ void CbrSource::tick() {
 
 PoissonSource::PoissonSource(sim::Network& net, Config config)
     : net_(net), config_(config), rng_(net.rng().next_u64()) {
-  net_.node_sim(config_.src).schedule_at(config_.start, [this] { tick(); });
+  net_.sim().schedule_at(config_.start, [this] { tick(); });
 }
 
 void PoissonSource::tick() {
-  sim::Simulator& sim = net_.node_sim(config_.src);
+  sim::Simulator& sim = net_.sim();
   if (sim.now() >= config_.stop) return;
   send_datagram(net_, config_.src, config_.dst, config_.flow_id, seq_++, config_.payload_bytes);
   const double gap = rng_.exponential(1.0 / config_.mean_rate_pps);
@@ -86,11 +84,11 @@ void PoissonSource::tick() {
 
 OnOffSource::OnOffSource(sim::Network& net, Config config)
     : net_(net), config_(config), rng_(net.rng().next_u64()) {
-  net_.node_sim(config_.src).schedule_at(config_.start, [this] { enter_on(); });
+  net_.sim().schedule_at(config_.start, [this] { enter_on(); });
 }
 
 void OnOffSource::enter_on() {
-  sim::Simulator& sim = net_.node_sim(config_.src);
+  sim::Simulator& sim = net_.sim();
   if (sim.now() >= config_.stop) return;
   on_ = true;
   const double on_seconds = rng_.exponential(config_.mean_on.to_seconds());
@@ -100,7 +98,7 @@ void OnOffSource::enter_on() {
 }
 
 void OnOffSource::enter_off() {
-  sim::Simulator& sim = net_.node_sim(config_.src);
+  sim::Simulator& sim = net_.sim();
   on_ = false;
   if (sim.now() >= config_.stop) return;
   const double off_seconds = rng_.exponential(config_.mean_off.to_seconds());
@@ -108,7 +106,7 @@ void OnOffSource::enter_off() {
 }
 
 void OnOffSource::tick() {
-  sim::Simulator& sim = net_.node_sim(config_.src);
+  sim::Simulator& sim = net_.sim();
   if (!on_ || sim.now() >= config_.stop) return;
   send_datagram(net_, config_.src, config_.dst, config_.flow_id, seq_++, config_.payload_bytes);
   sim.schedule_in(util::Duration::from_seconds(1.0 / config_.on_rate_pps),

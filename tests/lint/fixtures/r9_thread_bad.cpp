@@ -1,5 +1,5 @@
-// Fixture: R9 thread-containment positives (under a virtual src/ path
-// outside src/sim/shard*). Never compiled — linted as text.
+// Fixture: R9 thread-containment positives (under a virtual src/ path).
+// Never compiled — linted as text.
 #include <cstdint>
 
 void fixture_raw_threads() {

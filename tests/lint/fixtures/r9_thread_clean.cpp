@@ -8,7 +8,7 @@ struct mutex {};
 
 void fixture_no_primitives(std::uint32_t thread) {
   pool::mutex local;
-  const char* note = "std::thread stays inside src/sim/shard*";
+  const char* note = "std::thread has no place in the simulator";
   (void)thread;
   (void)local;
   (void)note;

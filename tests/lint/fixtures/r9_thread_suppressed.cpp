@@ -1,7 +1,7 @@
 // Fixture: R9 suppression.
 
 void fixture_guard_probe() {
-  // fatih-lint: allow(thread-containment) fixture: scaffolding pending its move into the shard runtime
+  // fatih-lint: allow(thread-containment) fixture: scaffolding pending its removal
   std::mutex probe;
   (void)probe;
 }

@@ -317,18 +317,16 @@ TEST(R9ThreadContainment, FlagsPrimitivesOutsideShardRuntime) {
   EXPECT_EQ(lines_of(r, Rule::kThreadContainment), (std::vector<std::size_t>{6, 7, 8, 9}));
 }
 
-TEST(R9ThreadContainment, ShardRuntimeIsExempt) {
-  // The worker pool itself lives behind src/sim/shard*; the rule is about
-  // containment, not about concurrency existing at all.
+TEST(R9ThreadContainment, FormerShardRuntimeIsFlagged) {
+  // No path is exempt from R9, src/sim/shard* included.
   const std::string content = read_fixture("r9_thread_bad.cpp");
-  EXPECT_TRUE(lint_files({{"src/sim/shard.cpp", content}}, Config{}).diagnostics.empty());
-  EXPECT_TRUE(
-      lint_files({{"src/sim/shard_pool.hpp", content}}, Config{}).diagnostics.empty());
+  EXPECT_EQ(lint_files({{"src/sim/shard.hpp", content}}, Config{}).diagnostics.size(), 4u);
+  EXPECT_EQ(lint_files({{"src/sim/shard.cpp", content}}, Config{}).diagnostics.size(), 4u);
 }
 
 TEST(R9ThreadContainment, AppliesOutsideSrcToo) {
-  // tests/ and bench/ drive the engine through ScenarioRun's thread
-  // parameter; hand-rolled threads there dodge the same barrier proof.
+  // tests/ and bench/ drive the same single-threaded engine; threads
+  // there would break its determinism just the same.
   const std::string content = read_fixture("r9_thread_bad.cpp");
   EXPECT_EQ(lint_files({{"tests/lintfix/r9.cpp", content}}, Config{}).diagnostics.size(), 4u);
 }

@@ -51,6 +51,22 @@ TEST(SpecCodec, RejectsUnknownStatementWithLineNumber) {
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
+TEST(SpecCodec, RejectsTheRemovedEngineStatement) {
+  // Corpus and snapshot text from before the sharded engine was removed
+  // must fail loudly, not run on a different engine.
+  std::string text = encode(*find_scenario("gen_ebone_pik2_clean"));
+  EXPECT_EQ(text.find("engine"), std::string::npos) << text;
+  text.insert(text.find("\ndetector ") + 1, "engine shards=4\n");
+  ScenarioSpec out;
+  std::string error;
+  EXPECT_FALSE(decode(text, out, error));
+  EXPECT_NE(error.find("sharded engine was removed"), std::string::npos) << error;
+
+  ScenarioSpec spec = *find_scenario("gen_ebone_pik2_clean");
+  spec.shards = 4;
+  EXPECT_FALSE(validate(spec, error));
+}
+
 TEST(SpecCodec, RejectsBadEnumAndBadInteger) {
   ScenarioSpec out;
   std::string error;

@@ -1,7 +1,7 @@
 // Property tests for the seeded topology generator (src/topo): seed
 // stability (byte-identical graphs, pinned digests), degree-distribution
 // shape against the pinned Rocketfuel histograms, connectivity, the
-// structural guarantees the sharded engine leans on (core-only inter-PoP
+// structural guarantees the scenarios build on (core-only inter-PoP
 // links, uniform backbone delay, the PoP-0 chi bottleneck), and the codec
 // round-trip of generator parameters through ScenarioSpec.
 #include "topo/generator.hpp"
@@ -17,7 +17,7 @@ namespace fatih::topo {
 namespace {
 
 // Pinned structural digests: regenerate with the same params must be
-// byte-identical forever (the sharded corpus depends on it).
+// byte-identical forever (the gen_* corpus records depend on it).
 constexpr std::uint64_t kSprintlinkDigest = 11037831699627619433ULL;
 constexpr std::uint64_t kEboneDigest = 17675609933224398286ULL;
 
@@ -113,9 +113,8 @@ TEST(Generator, ChiBottleneckConfinedToPopZero) {
     EXPECT_EQ(g.pop_of[g.chi_peer], 0u);
     EXPECT_EQ(g.pop_of[g.chi_feed], 0u);
     EXPECT_EQ(g.chi_peer, g.pop_hub[0]);
-    // Every neighbor of the owner lives in PoP 0, so all of Protocol
-    // chi's taps fire on a single shard; the feeder hangs off the owner
-    // and the owner off the hub (the monitored queue).
+    // Every neighbor of the owner lives in PoP 0; the feeder hangs off
+    // the owner and the owner off the hub (the monitored queue).
     bool owner_hub = false;
     bool owner_feed = false;
     for (const GenLink& l : g.links) {
@@ -140,7 +139,7 @@ TEST(Generator, ValidateRejectsDegenerateParams) {
   p.routers = p.pops * 2;  // too few routers per PoP
   EXPECT_FALSE(validate(p));
   p = ebone();
-  p.inter_delay_ns = p.intra_delay_ns;  // lookahead window would be trivial
+  p.inter_delay_ns = p.intra_delay_ns;  // backbone must be slower than metro
   EXPECT_FALSE(validate(p));
   p = ebone();
   p.links = p.routers - 1;  // budget below the spanning structure
@@ -158,7 +157,6 @@ TEST(GeneratorCodec, TopoParamsRoundTripThroughScenarioSpec) {
   s.topo.seed = 1044;
   s.topo.intra_delay_ns = 250'000;
   s.topo.inter_delay_ns = 3'000'000;
-  s.shards = 16;
   const std::string text = scenario::encode(s);
   scenario::ScenarioSpec out;
   std::string error;
@@ -171,7 +169,6 @@ TEST(GeneratorCodec, TopoParamsRoundTripThroughScenarioSpec) {
   EXPECT_EQ(out.topo.seed, s.topo.seed);
   EXPECT_EQ(out.topo.intra_delay_ns, s.topo.intra_delay_ns);
   EXPECT_EQ(out.topo.inter_delay_ns, s.topo.inter_delay_ns);
-  EXPECT_EQ(out.shards, s.shards);
   EXPECT_EQ(scenario::encode(out), text);
 }
 

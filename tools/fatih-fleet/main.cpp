@@ -94,9 +94,6 @@ int usage() {
                "  worker <name> --out FILE      (internal) run one scenario, record to FILE\n"
                "  sweep [opts] [names...]       supervise a worker per scenario\n"
                "    --jobs N          parallel worker slots (default 2)\n"
-               "    --threads N       worker-thread override for sharded scenarios\n"
-               "                      (digests are thread-invariant; use with --golden\n"
-               "                      for a shard differential sweep)\n"
                "    --timeout-ms T    per-worker wall-clock budget (default 120000)\n"
                "    --hang-timeout-ms T  budget for the inject_hang probe only\n"
                "    --retries R       relaunch budget after crash/timeout (default 1)\n"
@@ -111,7 +108,7 @@ int usage() {
 
 // --------------------------------------------------------------- worker role
 
-int cmd_worker(const std::string& name, const std::string& out_path, unsigned threads) {
+int cmd_worker(const std::string& name, const std::string& out_path) {
   if (name == kInjectCrash) _exit(3);
   if (name == kInjectHang) {
     for (;;) std::this_thread::sleep_for(std::chrono::seconds(1));
@@ -122,7 +119,7 @@ int cmd_worker(const std::string& name, const std::string& out_path, unsigned th
     return 2;
   }
   sc::Corpus corpus;
-  corpus.upsert(sc::to_record(sc::run_scenario(*spec, threads)));
+  corpus.upsert(sc::to_record(sc::run_scenario(*spec)));
   if (!write_file(out_path, sc::to_json(corpus))) {
     std::fprintf(stderr, "fatih-fleet: cannot write %s\n", out_path.c_str());
     return 2;
@@ -137,7 +134,6 @@ struct SweepOptions {
   std::int64_t timeout_ms = 120'000;
   std::int64_t hang_timeout_ms = -1;  ///< -1: same as timeout_ms
   int retries = 1;
-  unsigned threads = 0;  ///< sharded-spec worker override (0 = spec.shards)
   std::string out_path{};
   std::string golden_path{};
   std::vector<std::string> names{};
@@ -156,18 +152,12 @@ struct Running {
   std::string out_path{};
 };
 
-pid_t launch_worker(const std::string& name, const std::string& out_path, unsigned threads) {
+pid_t launch_worker(const std::string& name, const std::string& out_path) {
   const pid_t pid = fork();
   if (pid != 0) return pid;
   // Child: re-enter this binary in worker mode.
-  const std::string threads_str = std::to_string(threads);
-  if (threads > 0) {
-    execl("/proc/self/exe", "fatih-fleet", "worker", name.c_str(), "--out", out_path.c_str(),
-          "--threads", threads_str.c_str(), static_cast<char*>(nullptr));
-  } else {
-    execl("/proc/self/exe", "fatih-fleet", "worker", name.c_str(), "--out", out_path.c_str(),
-          static_cast<char*>(nullptr));
-  }
+  execl("/proc/self/exe", "fatih-fleet", "worker", name.c_str(), "--out", out_path.c_str(),
+        static_cast<char*>(nullptr));
   _exit(127);
 }
 
@@ -227,7 +217,7 @@ int cmd_sweep(const SweepOptions& opt) {
       r.job = job;
       r.out_path = "fleet_worker_" + std::to_string(launched++) + "_" + job.name + ".json";
       std::remove(r.out_path.c_str());
-      r.pid = launch_worker(job.name, r.out_path, opt.threads);
+      r.pid = launch_worker(job.name, r.out_path);
       if (r.pid < 0) {
         requeue_or_record(std::move(job), "crash");
         continue;
@@ -364,12 +354,9 @@ int main(int argc, char** argv) {
   if (cmd == "worker") {
     std::string name;
     std::string out_path;
-    unsigned threads = 0;
     for (std::size_t i = 1; i < args.size(); ++i) {
       if (args[i] == "--out" && i + 1 < args.size()) {
         out_path = args[++i];
-      } else if (args[i] == "--threads") {
-        if (i + 1 == args.size() || !parse_number(args[++i], threads)) return usage();
       } else if (name.empty()) {
         name = args[i];
       } else {
@@ -377,7 +364,7 @@ int main(int argc, char** argv) {
       }
     }
     if (name.empty() || out_path.empty()) return usage();
-    return cmd_worker(name, out_path, threads);
+    return cmd_worker(name, out_path);
   }
 
   if (cmd == "sweep") {
@@ -391,7 +378,6 @@ int main(int argc, char** argv) {
       };
       bool ok = true;
       if (a == "--jobs") ok = parse_number(next(), opt.jobs);
-      else if (a == "--threads") ok = parse_number(next(), opt.threads);
       else if (a == "--timeout-ms") ok = parse_number(next(), opt.timeout_ms);
       else if (a == "--hang-timeout-ms") ok = parse_number(next(), opt.hang_timeout_ms);
       else if (a == "--retries") ok = parse_number(next(), opt.retries);

@@ -848,15 +848,11 @@ class Linter {
   }
 
   // R9 ----------------------------------------------------------------------
-  /// All concurrency lives in the shard runtime (src/sim/shard*): its
-  /// window barrier and fixed PoP partition are what make digests
-  /// worker-count-invariant. A stray mutex or atomic anywhere else means
-  /// shared mutable state the barrier proof never covered — flag every
-  /// std-qualified threading primitive (and thread_local storage) outside
-  /// that containment boundary.
+  /// The simulator is single-threaded by design: every digest and golden
+  /// assumes one event loop, and sweep throughput comes from fatih-fleet's
+  /// worker processes. Flag every std-qualified threading primitive (and
+  /// thread_local storage) anywhere in the tree.
   void rule_thread_containment(const FileCtx& ctx) {
-    const std::string& path = ctx.src->path;
-    if (starts_with(path, "src/sim/shard")) return;
     const std::string& s = ctx.code;
     static constexpr std::string_view kPrimitives[] = {
         "thread",         "jthread",
@@ -878,16 +874,16 @@ class Linter {
         if (qualifier_before(s, p) != Qual::kStd) continue;
         emit(ctx, ctx.line_of(p), Rule::kThreadContainment,
              "threading primitive 'std::" + std::string(w) +
-                 "' outside src/sim/shard*: concurrency is confined to the shard "
-                 "runtime, whose barrier discipline keeps digests worker-invariant");
+                 "': the simulator is single-threaded; parallelize across "
+                 "processes (fatih-fleet) instead");
       }
     }
     for (std::size_t p = find_word(s, "thread_local", 0); p != std::string::npos;
          p = find_word(s, "thread_local", p + 1)) {
       if (qualifier_before(s, p) != Qual::kNone) continue;
       emit(ctx, ctx.line_of(p), Rule::kThreadContainment,
-           "'thread_local' storage outside src/sim/shard*: per-thread state makes "
-           "results depend on the worker count, breaking digest invariance");
+           "'thread_local' storage: the simulator is single-threaded; per-thread "
+           "state has no place in it");
     }
   }
 
@@ -1245,7 +1241,7 @@ class Linter {
         "state_fingerprint",  "pending_fingerprint", "state_hash",
         "digest",             "make_digest",         "encode",
         "decode",             "spec_hash",           "packet_fingerprint",
-        "hash_batch",         "rng_fingerprint",     "detector_fingerprint"};
+        "hash_batch",         "detector_fingerprint"};
     if (kNames.count(n.fn.name)) return true;
     if (include_output && (n.fn.name == "to_json" || n.fn.name == "to_jsonl")) return true;
     const std::size_t cc = n.fn.qualified.rfind("::");
@@ -1275,7 +1271,6 @@ class Linter {
         {"Interface", "send"},
         {"Interface", "try_transmit"},
         {"Interface", "start_transmit"},
-        {"Interface", "complete_propagation"},
         {"Queue", "enqueue"},
         {"Queue", "dequeue"},
         {"SummaryGenerator", "flush"},

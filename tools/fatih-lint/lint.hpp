@@ -26,9 +26,9 @@
 //                              other layer has exactly one code path
 //   R9 thread-containment    raw threading primitives (std::thread,
 //                              std::mutex, std::atomic, thread_local, ...)
-//                              outside src/sim/shard* — all concurrency
-//                              lives in the shard runtime, whose barrier
-//                              discipline keeps digests worker-invariant
+//                              anywhere — the simulator is one
+//                              single-threaded event loop, and parallel
+//                              sweeps run as fatih-fleet processes
 //
 // R10–R12 are *interprocedural*: they run over the cross-TU call graph
 // extracted by tools/fatih-lint/symgraph (same token stream, no compiler),
@@ -48,7 +48,7 @@
 //                              sink, or float/double fields in serialized
 //                              event structs — FP rounding is ISA- and
 //                              flag-dependent, which would silently break
-//                              the shard and SIMD differential suites
+//                              the SIMD differential suite and the goldens
 //   R12 hot-path-allocation  heap allocation (new, make_unique/shared,
 //                              owning std::string/std::vector
 //                              construction) in any function reachable
