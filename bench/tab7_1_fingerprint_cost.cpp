@@ -36,36 +36,6 @@ void BM_PacketFingerprint(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketFingerprint);
 
-void BM_PacketFingerprintBatch(benchmark::State& state) {
-  // The SIMD-batched admission path: Arg selects the dispatch level
-  // (0=scalar, 1=SSE2, 2=AVX2, 3=AVX-512); levels the CPU or build cannot
-  // reach are skipped. Digests are identical across levels by construction
-  // (siphash_batch_test pins that), so this table is pure throughput.
-  constexpr crypto::SipKey key{11, 22};
-  const auto cap = static_cast<crypto::SimdLevel>(state.range(0));
-  const auto old_cap = crypto::set_simd_level_cap(cap);
-  if (crypto::simd_level() != cap) {
-    crypto::set_simd_level_cap(old_cap);
-    state.SkipWithError("dispatch level unavailable on this CPU/build");
-    return;
-  }
-  const validation::FingerprintHasher hasher(key);
-  constexpr std::size_t kBlock = 1024;
-  std::vector<validation::PacketInvariant> views;
-  views.reserve(kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    views.push_back(validation::PacketInvariant::from_packet(sample_packet(i)));
-  }
-  std::vector<validation::Fingerprint> digests(kBlock);
-  for (auto _ : state) {
-    hasher.hash_batch(views.data(), kBlock, digests.data());
-    benchmark::DoNotOptimize(digests.data());
-  }
-  crypto::set_simd_level_cap(old_cap);
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBlock));
-}
-BENCHMARK(BM_PacketFingerprintBatch)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
-
 void BM_SipHashPayload(benchmark::State& state) {
   // Hashing a full payload of the given size (software fallback if header
   // fields alone are not enough).

@@ -30,7 +30,7 @@ QueueValidator::QueueValidator(sim::Network& net, const crypto::KeyRegistry& key
       peer_(queue_peer),
       config_(config),
       guard_(net, keys, obs::TraceSource::kChi, "chi"),
-      fp_(keys.fingerprint_key(queue_owner, queue_peer)) {
+      fp_key_(keys.fingerprint_key(queue_owner, queue_peer)) {
   auto& owner_node = net_.router(owner_);
   auto* iface = owner_node.interface_to(peer_);
   assert(iface != nullptr && "queue owner must be adjacent to peer");
@@ -60,7 +60,7 @@ void QueueValidator::install_taps() {
       // rd; after a reroute the recorder follows the new next hop.
       if (paths_.next_hop_after_at(p.hdr.src, p.hdr.dst, owner_, now) != peer_) return;
       ChiRecord rec;
-      rec.fp = fp_(p);
+      rec.fp = validation::packet_fingerprint(fp_key_, p);
       rec.size_bytes = p.size_bytes;
       rec.flow_id = p.hdr.flow_id;
       rec.control = p.is_control();
@@ -75,7 +75,7 @@ void QueueValidator::install_taps() {
         if (prev != owner_) return;
         if (net_.router(owner_).interface(out_iface).peer() != peer_) return;
         ChiRecord rec;
-        rec.fp = fp_(p);
+        rec.fp = validation::packet_fingerprint(fp_key_, p);
         rec.size_bytes = p.size_bytes;
         rec.flow_id = p.hdr.flow_id;
         rec.control = p.is_control();
@@ -88,7 +88,7 @@ void QueueValidator::install_taps() {
                                           util::SimTime now) {
     if (prev != owner_) return;
     ChiRecord rec;
-    rec.fp = fp_(p);
+    rec.fp = validation::packet_fingerprint(fp_key_, p);
     rec.size_bytes = p.size_bytes;
     rec.flow_id = p.hdr.flow_id;
     rec.ts = now - link_.delay - link_.tx_time(p.size_bytes);
@@ -116,7 +116,7 @@ void QueueValidator::install_taps() {
     const auto* out = net_.router(owner_).interface_to(peer_);
     const double qact_before =
         static_cast<double>(out->last_admit_depth_bytes()) - p.size_bytes;
-    qact_probe_[fp_(p)] = qact_before;
+    qact_probe_[validation::packet_fingerprint(fp_key_, p)] = qact_before;
   });
 }
 

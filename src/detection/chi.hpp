@@ -201,7 +201,7 @@ class QueueValidator {
   ConvictionEngine* conviction_ = nullptr;
   std::int64_t closed_round_ = -1;  ///< highest validated round (watermark)
   ReliableChannel* channel_ = nullptr;
-  validation::FingerprintHasher fp_{crypto::SipKey{}};
+  crypto::SipKey fp_key_;
   sim::LinkParams link_;           ///< the r -> rd link
   std::size_t queue_limit_ = 0;    ///< bytes
   util::Duration owner_proc_;      ///< r's nominal processing delay

@@ -10,8 +10,7 @@ SummaryGenerator::SummaryGenerator(sim::Network& net, const crypto::KeyRegistry&
       keys_(keys),
       router_(router),
       clock_(clock),
-      paths_(paths),
-      batch_width_(crypto::simd_batch_width()) {
+      paths_(paths) {
   auto& r = net_.router(router_);
   r.add_forward_tap([this](const sim::Packet& p, util::NodeId prev, std::size_t out_iface,
                            util::SimTime now) { on_forward(p, prev, out_iface, now); });
@@ -28,7 +27,7 @@ void SummaryGenerator::monitor(const routing::PathSegment& segment, std::size_t 
   role.sample_keep = sample_keep_per_256;
   // All routers of a segment share the key derived from its two ends, so
   // their fingerprints for the same packet agree.
-  role.fp = validation::FingerprintHasher(keys_.fingerprint_key(segment.front(), segment.back()));
+  role.fp_key = keys_.fingerprint_key(segment.front(), segment.back());
   roles_.push_back(std::move(role));
   route_roles_.clear();  // any cached list may now miss the new role
 }
@@ -54,31 +53,13 @@ const SummaryGenerator::RoleLists& SummaryGenerator::roles_for(const sim::Packet
   return route_roles_.emplace(key, std::move(lists)).first->second;
 }
 
-void SummaryGenerator::record(Role& role, const sim::Packet& p) {
-  // Defer the hash: buffer the invariant view and flush a lane-width batch
-  // through the SIMD kernels. Sampling needs the fingerprint, so it is
-  // applied at flush time, in the buffered (arrival) order.
-  role.pending.push_back(validation::PacketInvariant::from_packet(p));
-  role.pending_rounds.push_back(clock_.round_of(p.created));
-  if (role.pending.size() >= batch_width_) {
-    flush_role(static_cast<std::size_t>(&role - roles_.data()));
-  }
-}
-
-void SummaryGenerator::flush_role(std::size_t idx) {
-  Role& role = roles_[idx];
-  if (role.pending.empty()) return;
-  fp_scratch_.resize(role.pending.size());
-  role.fp.hash_batch(role.pending.data(), role.pending.size(), fp_scratch_.data());
-  for (std::size_t i = 0; i < role.pending.size(); ++i) {
-    const validation::Fingerprint fp = fp_scratch_[i];
-    if (role.sample_keep < 256 && (fp & 0xFF) >= role.sample_keep) continue;
-    Bucket& b = buckets_[{idx, role.pending_rounds[i]}];
-    b.counters.add(role.pending[i].size_bytes);
-    b.content.push_back(fp);
-  }
-  role.pending.clear();
-  role.pending_rounds.clear();
+void SummaryGenerator::record(std::size_t idx, const sim::Packet& p) {
+  const Role& role = roles_[idx];
+  const validation::Fingerprint fp = validation::packet_fingerprint(role.fp_key, p);
+  if (role.sample_keep < 256 && (fp & 0xFF) >= role.sample_keep) return;
+  Bucket& b = buckets_[{idx, clock_.round_of(p.created)}];
+  b.counters.add(p.size_bytes);
+  b.content.push_back(fp);
 }
 
 void SummaryGenerator::on_forward(const sim::Packet& p, util::NodeId prev, std::size_t out_iface,
@@ -87,19 +68,19 @@ void SummaryGenerator::on_forward(const sim::Packet& p, util::NodeId prev, std::
   const util::NodeId next = net_.router(router_).interface(out_iface).peer();
   // Alignment with the neighbors named by the segment.
   for (const std::size_t idx : roles_for(p).forward) {
-    Role& role = roles_[idx];
+    const Role& role = roles_[idx];
     const auto& seg = role.segment.nodes();
     const std::size_t i = role.position;
-    if (next == seg[i + 1] && (i == 0 || prev == seg[i - 1])) record(role, p);
+    if (next == seg[i + 1] && (i == 0 || prev == seg[i - 1])) record(idx, p);
   }
 }
 
 void SummaryGenerator::on_receive(const sim::Packet& p, util::NodeId prev, util::SimTime /*now*/) {
   if (!enabled_ || p.is_control()) return;
   for (const std::size_t idx : roles_for(p).sink) {
-    Role& role = roles_[idx];
+    const Role& role = roles_[idx];
     const std::size_t i = role.position;
-    if (i == 0 || prev == role.segment.nodes()[i - 1]) record(role, p);
+    if (i == 0 || prev == role.segment.nodes()[i - 1]) record(idx, p);
   }
 }
 
@@ -111,7 +92,6 @@ SegmentSummary SummaryGenerator::take_summary(const routing::PathSegment& segmen
   out.round = round;
   for (std::size_t idx = 0; idx < roles_.size(); ++idx) {
     if (roles_[idx].segment != segment) continue;
-    flush_role(idx);  // drain the partial batch before reading the bucket
     auto it = buckets_.find({idx, round});
     if (it == buckets_.end()) break;
     out.counters = it->second.counters;

@@ -65,16 +65,8 @@ class SummaryGenerator {
     routing::PathSegment segment;
     std::size_t position = 0;
     std::uint32_t sample_keep = 256;
-    /// Schedule-cached hasher for the segment key (record() runs per packet).
-    validation::FingerprintHasher fp{crypto::SipKey{}};
-    /// Packets awaiting fingerprinting, in arrival order. Invariant views
-    /// are contiguous (hash_batch's stride requirement); pending_rounds is
-    /// the parallel per-packet round index. Hashed lane-width at a time —
-    /// flush_role drains the batch through the SIMD SipHash kernels, then
-    /// applies sampling and bucket insertion in the buffered order, so
-    /// summaries are byte-identical to the per-packet path.
-    std::vector<validation::PacketInvariant> pending;
-    std::vector<std::int64_t> pending_rounds;
+    /// The segment's fingerprint key (shared by every router on it).
+    crypto::SipKey fp_key;
   };
   struct Bucket {
     validation::CounterSummary counters;
@@ -92,11 +84,9 @@ class SummaryGenerator {
   void on_forward(const sim::Packet& p, util::NodeId prev, std::size_t out_iface,
                   util::SimTime now);
   void on_receive(const sim::Packet& p, util::NodeId prev, util::SimTime now);
-  void record(Role& role, const sim::Packet& p);
-  /// Hashes the role's pending batch and moves the results into the
-  /// per-round buckets. Called when the batch reaches lane width and
-  /// before any summary is taken.
-  void flush_role(std::size_t idx);
+  /// Fingerprints `p` under role `idx`'s key and, unless sampled out,
+  /// appends it to the role's bucket for the packet's round.
+  void record(std::size_t idx, const sim::Packet& p);
   /// The roles `p` can touch here, judged against the path in force when
   /// it was created; filled on first sight of its (epoch, src, dst).
   [[nodiscard]] const RoleLists& roles_for(const sim::Packet& p);
@@ -107,11 +97,7 @@ class SummaryGenerator {
   RoundClock clock_;
   const PathCache& paths_;
   bool enabled_ = true;
-  /// Lane width of the active SipHash dispatch level, sampled once at
-  /// construction; pending batches flush when they reach it.
-  std::size_t batch_width_;
   std::vector<Role> roles_;
-  std::vector<validation::Fingerprint> fp_scratch_;  // flush_role digest buffer
   // Keyed by (role index, round); flat store, std::map iteration order.
   util::FlatMap<std::pair<std::size_t, std::int64_t>, Bucket> buckets_;
   // The per-route role memo described in the file comment.

@@ -3,7 +3,8 @@
 namespace fatih::validation {
 
 Fingerprint packet_fingerprint(crypto::SipKey key, const sim::Packet& p) {
-  return FingerprintHasher(key)(p);
+  const PacketInvariant v = PacketInvariant::from_packet(p);
+  return crypto::siphash24(key, &v, sizeof(v));
 }
 
 }  // namespace fatih::validation

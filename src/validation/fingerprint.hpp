@@ -6,19 +6,15 @@
 // correct downstream router computes the same fingerprint as the upstream
 // one.
 //
-// The invariant view is a fixed 40-byte layout (header fields + size +
-// payload tag batched into one message), so the hash runs on the
-// compile-time-unrolled SipHash path. FingerprintHasher additionally
-// caches the key schedule; per-packet callers (summary generators,
-// Protocol χ queue accounting) should hold one instead of re-deriving the
-// schedule from the key on every packet. Callers that see packets in
-// bursts should buffer PacketInvariant views and use hash_batch, which
-// feeds the SIMD-batched SipHash lanes (4/8/16 packets per kernel call
-// depending on the CPU) — digests are bit-identical to operator().
+// The hashed message is the fixed 40-byte PacketInvariant layout (header
+// fields + size + payload tag), fed to the generic SipHash-2-4. Every
+// detector fingerprints a packet the same way: it stores the SipKey it
+// shares with its peers and calls packet_fingerprint when its tap sees
+// the packet.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "crypto/siphash.hpp"
 #include "sim/packet.hpp"
@@ -29,10 +25,9 @@ namespace fatih::validation {
 using Fingerprint = std::uint64_t;
 
 /// Fixed-layout invariant view of a packet: exactly the bytes the
-/// fingerprint hashes, TTL deliberately omitted. The 2 alignment-pad
-/// bytes are zeroed by from_packet so the message is stable (and
-/// identical to the seed's). Batch callers store these contiguously —
-/// hash_batch requires stride sizeof(PacketInvariant).
+/// fingerprint hashes, TTL deliberately omitted. Both pad fields are
+/// zeroed by from_packet so the message is stable (and identical to the
+/// seed's); naming them leaves the struct no implicit padding bytes.
 struct PacketInvariant {
   std::uint32_t src;
   std::uint32_t dst;
@@ -43,6 +38,7 @@ struct PacketInvariant {
   std::uint8_t flags;
   std::uint16_t pad;
   std::uint32_t size_bytes;
+  std::uint32_t pad2;
   std::uint64_t payload_tag;
 
   [[nodiscard]] static PacketInvariant from_packet(const sim::Packet& p) {
@@ -56,37 +52,17 @@ struct PacketInvariant {
     v.flags = p.hdr.flags;
     v.pad = 0;
     v.size_bytes = p.size_bytes;
+    v.pad2 = 0;
     v.payload_tag = p.payload_tag;
     return v;
   }
 };
 static_assert(sizeof(PacketInvariant) == 40);
-
-/// Computes fingerprints under one key with the SipHash schedule cached.
-class FingerprintHasher {
- public:
-  constexpr explicit FingerprintHasher(crypto::SipKey key) : sched_(key) {}
-
-  [[nodiscard]] Fingerprint operator()(const sim::Packet& p) const {
-    const PacketInvariant v = PacketInvariant::from_packet(p);
-    return crypto::siphash24_fixed<sizeof(v)>(sched_, &v);
-  }
-
-  /// Hashes a contiguous run of invariant views (the batch the summary
-  /// generators accumulate per role), writing one fingerprint per view to
-  /// `out`. Dispatches to the widest SIMD kernel the CPU offers; the
-  /// digests are bit-identical to calling operator() per packet.
-  void hash_batch(const PacketInvariant* views, std::size_t count, Fingerprint* out) const {
-    crypto::siphash24_fixed_batch<sizeof(PacketInvariant)>(sched_, views, count, out);
-  }
-
- private:
-  crypto::SipSchedule sched_;
-};
+static_assert(std::has_unique_object_representations_v<PacketInvariant>);  // no padding
 
 /// Computes the keyed fingerprint of a packet over its invariant fields:
-/// src, dst, flow, seq, ack, proto, flags, payload identity, and size.
-/// One-shot convenience; hot paths should reuse a FingerprintHasher.
+/// src, dst, flow, seq, ack, proto, flags, payload identity, and size —
+/// siphash24 of its PacketInvariant bytes.
 [[nodiscard]] Fingerprint packet_fingerprint(crypto::SipKey key, const sim::Packet& p);
 
 }  // namespace fatih::validation

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "attacks/attacks.hpp"
-#include "crypto/siphash.hpp"
 #include "detection/chi.hpp"
 #include "detection/pi2.hpp"
 #include "detection/pik2.hpp"
@@ -70,28 +69,6 @@ TEST(Determinism, Pi2FixtureTwiceIsByteIdentical) {
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   ASSERT_EQ(a.suspicions.size(), b.suspicions.size());
   EXPECT_EQ(a.suspicions, b.suspicions);
-}
-
-// The fingerprint pipeline batch-hashes through runtime-dispatched SIMD
-// kernels; every tier must produce the same digests, so the dispatch
-// level must be invisible to detection. Run the full Π2 experiment once
-// per available tier and require byte-identical suspicion sets.
-TEST(Determinism, Pi2SuspicionsIdenticalAcrossSimdDispatchLevels) {
-  const RunResult baseline = run_pi2_fixture();  // widest tier the CPU has
-  ASSERT_FALSE(baseline.suspicions.empty());
-  for (const crypto::SimdLevel cap :
-       {crypto::SimdLevel::kScalar, crypto::SimdLevel::kSse2, crypto::SimdLevel::kAvx2}) {
-    const crypto::SimdLevel old = crypto::set_simd_level_cap(cap);
-    if (crypto::simd_level() != cap) {  // tier not available on this CPU/build
-      crypto::set_simd_level_cap(old);
-      continue;
-    }
-    const RunResult r = run_pi2_fixture();
-    crypto::set_simd_level_cap(old);
-    EXPECT_EQ(r.events_dispatched, baseline.events_dispatched)
-        << "dispatch level " << static_cast<int>(cap);
-    EXPECT_EQ(r.suspicions, baseline.suspicions) << "dispatch level " << static_cast<int>(cap);
-  }
 }
 
 /// The churn diamond with live link-state routing, a flapping link, and an

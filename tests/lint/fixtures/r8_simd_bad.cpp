@@ -1,5 +1,5 @@
-// Fixture: R8 simd-containment positives (under a virtual src/ path
-// outside src/crypto/). Never compiled — linted as text.
+// Fixture: R8 simd-containment positives (under any virtual path).
+// Never compiled — linted as text.
 #include <cstdint>
 
 void fixture_fork_isa() {

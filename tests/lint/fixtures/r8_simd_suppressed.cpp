@@ -1,7 +1,7 @@
 // Fixture: R8 suppression.
 
 void fixture_vector_probe() {
-  // fatih-lint: allow(simd-containment) fixture: probe scaffolding pending its move into crypto/
+  // fatih-lint: allow(simd-containment) fixture: throwaway probe for a one-off A/B measurement
   __m128i probe;
   (void)probe;
 }

@@ -284,16 +284,16 @@ TEST(R8SimdContainment, FlagsRawVectorTypesOutsideCrypto) {
   EXPECT_EQ(lines_of(r, Rule::kSimdContainment), (std::vector<std::size_t>{6, 7, 8}));
 }
 
-TEST(R8SimdContainment, CryptoModuleIsExempt) {
-  // The kernels themselves live behind src/crypto/; the rule is about
-  // containment, not about the intrinsics existing at all.
+TEST(R8SimdContainment, CryptoModuleIsNotExempt) {
+  // Hashing has one scalar path; vector kernels are no more welcome in
+  // src/crypto/ than anywhere else.
   const std::string content = read_fixture("r8_simd_bad.cpp");
-  EXPECT_TRUE(lint_files({{"src/crypto/kernels.cpp", content}}, Config{}).diagnostics.empty());
+  EXPECT_EQ(lint_files({{"src/crypto/kernels.cpp", content}}, Config{}).diagnostics.size(), 3u);
 }
 
 TEST(R8SimdContainment, AppliesOutsideSrcToo) {
-  // bench/ and tests/ also consume the dispatched API; a raw vector type
-  // there forks the code path just the same.
+  // A raw vector type in bench/ or tests/ forks the code path just the
+  // same.
   const std::string content = read_fixture("r8_simd_bad.cpp");
   EXPECT_EQ(lint_files({{"bench/lintfix/r8.cpp", content}}, Config{}).diagnostics.size(), 3u);
 }

@@ -823,15 +823,11 @@ class Linter {
   }
 
   // R8 ----------------------------------------------------------------------
-  /// Raw SIMD vector types are an implementation detail of the batch-hash
-  /// kernels. Everywhere else consumes them through the dispatched API
-  /// (crypto::siphash24_fixed_batch and friends), which keeps exactly one
-  /// code path per layer — the property the byte-identical dispatch tests
-  /// rely on. Intrinsics leaking into sim/ or detection/ would fork the
-  /// hot path per ISA and silently void those tests.
+  /// Raw SIMD vector types are banned from the whole tree: packets and
+  /// messages are hashed by one scalar crypto::siphash24 path, which keeps
+  /// exactly one code path per layer. Intrinsics anywhere would fork a
+  /// path per ISA that no digest or golden would notice.
   void rule_simd_containment(const FileCtx& ctx) {
-    const std::string& path = ctx.src->path;
-    if (starts_with(path, "src/crypto/")) return;
     const std::string& s = ctx.code;
     static constexpr std::string_view kVecTypes[] = {
         "__m128i", "__m128",  "__m128d", "__m256i", "__m256",
@@ -841,8 +837,8 @@ class Linter {
            p = find_word(s, w, p + 1)) {
         emit(ctx, ctx.line_of(p), Rule::kSimdContainment,
              "raw SIMD vector type '" + std::string(w) +
-                 "' outside src/crypto/: consume the runtime-dispatched batch API "
-                 "(crypto::siphash24_fixed_batch) instead of forking a per-ISA code path");
+                 "': hashing has one scalar path (crypto::siphash24); do not fork a "
+                 "per-ISA code path");
       }
     }
   }
@@ -1241,7 +1237,7 @@ class Linter {
         "state_fingerprint",  "pending_fingerprint", "state_hash",
         "digest",             "make_digest",         "encode",
         "decode",             "spec_hash",           "packet_fingerprint",
-        "hash_batch",         "detector_fingerprint"};
+        "detector_fingerprint"};
     if (kNames.count(n.fn.name)) return true;
     if (include_output && (n.fn.name == "to_json" || n.fn.name == "to_jsonl")) return true;
     const std::size_t cc = n.fn.qualified.rfind("::");
@@ -1273,8 +1269,8 @@ class Linter {
         {"Interface", "start_transmit"},
         {"Queue", "enqueue"},
         {"Queue", "dequeue"},
-        {"SummaryGenerator", "flush"},
-        {"FingerprintHasher", "hash_batch"}};
+        {"SummaryGenerator", "on_"},
+        {"SummaryGenerator", "record"}};
     std::vector<std::uint32_t> seeds;
     for (std::uint32_t i = 0; i < graph_.nodes.size(); ++i) {
       const symgraph::Graph::Node& n = graph_.nodes[i];

@@ -21,9 +21,8 @@
 //   R7 no-include-cycles     #include cycles and module layering
 //                              violations across src/
 //   R8 simd-containment      raw SIMD vector types (__m128i/__m256i/...)
-//                              outside src/crypto/ — kernels stay behind
-//                              the runtime-dispatched batch API so every
-//                              other layer has exactly one code path
+//                              anywhere — hashing has one scalar path,
+//                              so every layer has exactly one code path
 //   R9 thread-containment    raw threading primitives (std::thread,
 //                              std::mutex, std::atomic, thread_local, ...)
 //                              anywhere — the simulator is one
@@ -48,14 +47,16 @@
 //                              sink, or float/double fields in serialized
 //                              event structs — FP rounding is ISA- and
 //                              flag-dependent, which would silently break
-//                              the SIMD differential suite and the goldens
+//                              the goldens
 //   R12 hot-path-allocation  heap allocation (new, make_unique/shared,
 //                              owning std::string/std::vector
 //                              construction) in any function reachable
 //                              from the forwarding/dispatch hot-path
 //                              roots: Simulator::run*, Node::forward*/
 //                              receive*, Interface transmit, queue
-//                              admission, the SipHash batch flush
+//                              admission, the summary taps'
+//                              fingerprinting (SummaryGenerator::on_*/
+//                              record)
 //
 // Inline suppression:  // fatih-lint: allow(<rule>) <justification>
 // The window is exactly two lines: the comment's own line and the next
