@@ -1,5 +1,6 @@
 #include "detection/byzantine.hpp"
 
+#include "crypto/siphash.hpp"
 #include "obs/metrics.hpp"
 
 namespace fatih::detection {
@@ -20,14 +21,36 @@ ControlGuard::ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys,
                            obs::TraceSource source, std::string metric_prefix)
     : net_(net), keys_(keys), source_(source), metric_prefix_(std::move(metric_prefix)) {}
 
-ControlVerdict ControlGuard::check_summary(const crypto::SignedEnvelope& env,
-                                           std::optional<SegmentSummary>& out) const {
-  if (!crypto::verify(keys_, env)) return ControlVerdict::kBadMac;
-  auto decoded = SegmentSummary::from_bytes(env.payload);
-  if (!decoded.has_value()) return ControlVerdict::kMalformed;
-  if (decoded->reporter != env.signer) return ControlVerdict::kSignerMismatch;
-  out = std::move(*decoded);
-  return ControlVerdict::kOk;
+ControlVerdict ControlGuard::check_summary(const SegmentSummaryPayload& payload,
+                                           std::shared_ptr<const SegmentSummary>& out) const {
+  SummaryMemo& memo = payload.memo;
+  if (memo.registry_ != &keys_) {
+    memo.summary_.reset();
+    memo.verdict_ = [&] {
+      const crypto::SignedEnvelope& env = payload.envelope;
+      if (!crypto::verify(keys_, env)) return ControlVerdict::kBadMac;
+      auto decoded = SegmentSummary::from_bytes(env.payload);
+      if (!decoded.has_value()) return ControlVerdict::kMalformed;
+      if (decoded->reporter != env.signer) return ControlVerdict::kSignerMismatch;
+      memo.summary_ = std::make_shared<const SegmentSummary>(std::move(*decoded));
+      return ControlVerdict::kOk;
+    }();
+    memo.registry_ = &keys_;
+  }
+  out = memo.summary_;
+  return memo.verdict_;
+}
+
+std::uint64_t ControlGuard::flood_key(const SegmentSummaryPayload& payload) {
+  SummaryMemo& memo = payload.memo;
+  if (!memo.key_.has_value()) {
+    // Key on the full signed content so equivocating summaries BOTH flood.
+    constexpr crypto::SipKey kKey{0x50493246C00DF00DULL, 0x64697373656D3031ULL};
+    auto bytes = payload.summary.to_bytes();
+    crypto::append_bytes(bytes, payload.envelope.tag);
+    memo.key_ = crypto::siphash24(kKey, bytes.data(), bytes.size());
+  }
+  return *memo.key_;
 }
 
 ControlVerdict ControlGuard::check_report(const crypto::SignedEnvelope& env,

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -59,13 +60,20 @@ class ControlGuard {
   ControlGuard(sim::Network& net, const crypto::KeyRegistry& keys, obs::TraceSource source,
                std::string metric_prefix);
 
-  /// Decode-and-verify primitives. On any failure the optional stays empty
-  /// and the verdict names the first check that failed; the caller then
-  /// reject()s with whatever hop attribution it has. The envelope payload
-  /// is authoritative — callers must use the decoded value, never a
-  /// convenience copy that rode alongside it.
-  [[nodiscard]] ControlVerdict check_summary(const crypto::SignedEnvelope& env,
-                                             std::optional<SegmentSummary>& out) const;
+  /// Decode-and-verify primitives: MAC, strict canonical decode and signer
+  /// identity. On any failure the output stays empty and the verdict names
+  /// the first check that failed; the caller then reject()s with whatever
+  /// hop attribution it has. The envelope payload is authoritative —
+  /// callers must use the decoded value, never a convenience copy that
+  /// rode alongside it (SegmentSummaryPayload::summary).
+  ///
+  /// check_summary is the one way to verify a summary. Its verdict depends
+  /// only on the envelope and this guard's key registry, so it is computed
+  /// once per payload object and registry and kept in the payload's memo;
+  /// every copy sharing the object reads the same verdict and the same
+  /// decoded summary. The round window (admit_round) is not part of it.
+  [[nodiscard]] ControlVerdict check_summary(const SegmentSummaryPayload& payload,
+                                             std::shared_ptr<const SegmentSummary>& out) const;
   [[nodiscard]] ControlVerdict check_report(const crypto::SignedEnvelope& env,
                                             std::optional<ChiReport>& out) const;
   [[nodiscard]] ControlVerdict check_accusation(const crypto::SignedEnvelope& env,
@@ -79,6 +87,14 @@ class ControlGuard {
                                            std::int64_t current_round,
                                            std::int64_t* margin = nullptr) const;
   static constexpr std::int64_t kSuspectMargin = 2;
+
+  /// The Pi2 flood and reliable-transport dedup key of a summary payload:
+  /// SipHash of payload.summary's canonical bytes and the envelope tag, so
+  /// equivocating summaries both flood. It reads payload.summary, not the
+  /// envelope, because the flood and the channel key a copy before any
+  /// verdict; for an honest payload both hold the same bytes. Computed once
+  /// per payload object and kept in its memo.
+  [[nodiscard]] static std::uint64_t flood_key(const SegmentSummaryPayload& payload);
 
   /// Counts an accepted message.
   void accept();

@@ -264,7 +264,7 @@ void QueueValidator::on_report(const ChiReportPayload& payload) {
   // round, part) identity but different content is a self-incriminating
   // proof — only the signer can produce the pair.
   const auto stmt = std::make_tuple(rep.reporter, rep.round, rep.part);
-  const auto [led, fresh] = part_envelope_.emplace(stmt, payload.envelope);
+  const auto [led, fresh] = part_envelope_.try_emplace(stmt, payload.envelope);
   if (!fresh && led->second.payload != payload.envelope.payload) {
     FATIH_TRACE_EMIT(net_.sim().trace(),
                      byzantine(net_.sim().now(), obs::TraceSource::kChi,

@@ -60,6 +60,10 @@ struct SegmentSummary {
   [[nodiscard]] bool reconciled_form() const { return !recon_evals.empty(); }
   [[nodiscard]] bool bloom_form() const { return !bloom_words.empty(); }
 
+  /// Field-wise; for decoded summaries the same as comparing their bytes,
+  /// since the codec is strictly canonical.
+  bool operator==(const SegmentSummary&) const = default;
+
   /// Canonical byte serialization (signed and MAC-verified end to end).
   [[nodiscard]] std::vector<std::byte> to_bytes() const;
   /// Wire size estimate for the simulated control packet.
@@ -71,12 +75,39 @@ struct SegmentSummary {
       std::span<const std::byte> in);
 };
 
+enum class ControlVerdict : std::uint8_t;  // detection/byzantine.hpp
+class ControlGuard;
+
+/// ControlGuard's verify-once cache on one summary payload object. Every
+/// flooded copy of a summary shares that object, so the MAC, the decode and
+/// the flood key are computed once per payload rather than once per copy.
+/// Only the guard reads or fills it. A copy of a memo is always empty (a
+/// move is a copy here): a copied payload, say a tampered clone, is judged
+/// afresh. Payloads are never assigned, so neither are memos.
+class SummaryMemo {
+ public:
+  SummaryMemo() = default;
+  SummaryMemo(const SummaryMemo& /*other*/) {}
+  SummaryMemo& operator=(const SummaryMemo&) = delete;
+
+ private:
+  friend class ControlGuard;
+  /// The registry the verdict was computed under; null = no verdict yet.
+  const crypto::KeyRegistry* registry_ = nullptr;
+  ControlVerdict verdict_{};
+  std::shared_ptr<const SegmentSummary> summary_;  ///< set iff verdict_ is kOk
+  std::optional<std::uint64_t> key_;
+};
+
 /// A signed SegmentSummary in flight (both the Pi(k+2) unicast exchange
 /// and the Pi2 flood use this payload; `kind_tag` distinguishes them).
+/// Build it completely before sharing it: the guard's memo assumes the
+/// envelope and summary never change once a copy has been checked.
 struct SegmentSummaryPayload final : sim::ControlPayload {
   SegmentSummary summary;
   crypto::SignedEnvelope envelope;
   std::uint16_t kind_tag = kKindSegmentSummary;
+  mutable SummaryMemo memo;
   [[nodiscard]] std::uint16_t kind() const override { return kind_tag; }
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/siphash.hpp"
 #include "detection/evidence.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -13,12 +12,7 @@ namespace {
 constexpr const char* kComponent = "pi2";
 
 std::uint64_t payload_key(const sim::ControlPayload& payload) {
-  const auto& p = static_cast<const SegmentSummaryPayload&>(payload);
-  // Key on the full signed content so equivocating summaries BOTH flood.
-  constexpr crypto::SipKey kKey{0x50493246C00DF00DULL, 0x64697373656D3031ULL};
-  auto bytes = p.summary.to_bytes();
-  crypto::append_bytes(bytes, p.envelope.tag);
-  return crypto::siphash24(kKey, bytes.data(), bytes.size());
+  return ControlGuard::flood_key(static_cast<const SegmentSummaryPayload&>(payload));
 }
 }  // namespace
 
@@ -67,7 +61,7 @@ Pi2Engine::Pi2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const P
   // Verify-before-reflood: an unverifiable copy is dropped at the first
   // honest hop and attributed to the hop that handed it over.
   flood_->set_validate_fn([this](util::NodeId, const sim::ControlPayload& payload) {
-    std::optional<SegmentSummary> decoded;
+    std::shared_ptr<const SegmentSummary> decoded;
     return vet(payload, decoded) == ControlVerdict::kOk;
   });
   flood_->set_invalid_fn([this](util::NodeId at, util::NodeId prev,
@@ -81,9 +75,10 @@ Pi2Engine::Pi2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const P
 }
 
 ControlVerdict Pi2Engine::vet(const sim::ControlPayload& payload,
-                              std::optional<SegmentSummary>& out, std::int64_t* margin) const {
+                              std::shared_ptr<const SegmentSummary>& out,
+                              std::int64_t* margin) const {
   const auto& p = static_cast<const SegmentSummaryPayload&>(payload);
-  const ControlVerdict verdict = guard_.check_summary(p.envelope, out);
+  const ControlVerdict verdict = guard_.check_summary(p, out);
   if (verdict != ControlVerdict::kOk) return verdict;
   return guard_.admit_round(out->round, closed_round_,
                             config_.clock.round_of(net_.sim().now()), margin);
@@ -91,10 +86,10 @@ ControlVerdict Pi2Engine::vet(const sim::ControlPayload& payload,
 
 void Pi2Engine::on_invalid(util::NodeId at, util::NodeId prev,
                            const sim::ControlPayload& payload) {
-  std::optional<SegmentSummary> decoded;
+  std::shared_ptr<const SegmentSummary> decoded;
   std::int64_t margin = 0;
   const ControlVerdict verdict = vet(payload, decoded, &margin);
-  guard_.reject(at, prev, decoded.has_value() ? decoded->round : -1, verdict, nullptr);
+  guard_.reject(at, prev, decoded != nullptr ? decoded->round : -1, verdict, nullptr);
   if (verdict == ControlVerdict::kStale && margin < ControlGuard::kSuspectMargin) {
     return;  // plausibly a late retransmission from the retry schedule
   }
@@ -108,7 +103,7 @@ void Pi2Engine::on_invalid(util::NodeId at, util::NodeId prev,
 
 void Pi2Engine::on_delivery(util::NodeId at, const sim::ControlPayload& payload) {
   const auto& p = static_cast<const SegmentSummaryPayload&>(payload);
-  std::optional<SegmentSummary> decoded;
+  std::shared_ptr<const SegmentSummary> decoded;
   if (vet(payload, decoded) != ControlVerdict::kOk) return;  // originator-local copies
   guard_.accept();
   const auto it = segment_ids_.find(decoded->segment);
@@ -119,7 +114,7 @@ void Pi2Engine::on_delivery(util::NodeId at, const sim::ControlPayload& payload)
   // circulate — the first router to hold the pair files it as a proof.
   const std::tuple<std::size_t, util::NodeId, std::int64_t> stmt{sid, decoded->reporter,
                                                                  decoded->round};
-  const auto [fit, fresh] = first_envelope_.emplace(stmt, p.envelope);
+  const auto [fit, fresh] = first_envelope_.try_emplace(stmt, p.envelope);
   if (!fresh && fit->second.payload != p.envelope.payload) {
     FATIH_TRACE_EMIT(net_.sim().trace(),
                      byzantine(net_.sim().now(), obs::TraceSource::kPi2,
@@ -132,24 +127,21 @@ void Pi2Engine::on_delivery(util::NodeId at, const sim::ControlPayload& payload)
                           "equivocation", {fit->second, p.envelope});
     }
   }
-  // Dedup into the canonical variant store (payload bytes are the
-  // canonical serialization, so equal bytes == equal summary); the
-  // per-router slot just records which variant this router holds.
+  // Dedup into the canonical variant store (the codec is strictly
+  // canonical, so equal decoded summaries == equal payload bytes; copies of
+  // one payload object share one decoded summary); the per-router slot
+  // just records which variant this router holds.
   auto& vars = variants_[stmt];
   std::uint32_t vidx = kNoVariant;
   for (std::uint32_t i = 0; i < vars.size(); ++i) {
-    if (vars[i].payload == p.envelope.payload) {
+    if (vars[i].summary == decoded || *vars[i].summary == *decoded) {
       vidx = i;
       break;
     }
   }
   if (vidx == kNoVariant) {
-    Variant v;
-    v.counters = decoded->counters;
-    v.content = std::move(decoded->content);
-    v.payload = p.envelope.payload;
     vidx = static_cast<std::uint32_t>(vars.size());
-    vars.push_back(std::move(v));
+    vars.push_back(Variant{decoded, {}});
   }
   Slot& slot = received_[{at, sid, decoded->reporter, decoded->round}];
   if (slot.variant != kNoVariant) {
@@ -281,11 +273,12 @@ void Pi2Engine::evaluate(std::int64_t round) {
       // then reads spans out of the variant store, sorting each distinct
       // summary at most once for ALL routers and pairs.
       auto tv_view = [this](Variant& v) {
-        if (config_.policy != TvPolicy::kFlow && v.sorted.size() != v.content.size()) {
-          v.sorted = v.content;
+        const SegmentSummary& s = *v.summary;
+        if (config_.policy != TvPolicy::kFlow && v.sorted.size() != s.content.size()) {
+          v.sorted = s.content;
           std::sort(v.sorted.begin(), v.sorted.end());
         }
-        return TvView{v.content, v.sorted, v.counters.packets};
+        return TvView{s.content, v.sorted, s.counters.packets};
       };
       std::vector<Variant*> vars(nodes.size(), nullptr);
       for (std::size_t i = 0; i < nodes.size(); ++i) {

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "detection/byzantine.hpp"
@@ -116,7 +115,8 @@ class Pi2Engine {
                const char* cause);
   /// Full admission check for one arriving flood copy: MAC + canonical
   /// decode + signer identity (guard) and the anti-replay round window.
-  ControlVerdict vet(const sim::ControlPayload& payload, std::optional<SegmentSummary>& out,
+  ControlVerdict vet(const sim::ControlPayload& payload,
+                     std::shared_ptr<const SegmentSummary>& out,
                      std::int64_t* margin = nullptr) const;
   void on_invalid(util::NodeId at, util::NodeId prev, const sim::ControlPayload& payload);
   void on_delivery(util::NodeId at, const sim::ControlPayload& payload);
@@ -151,15 +151,14 @@ class Pi2Engine {
   };
   util::FlatMap<std::tuple<util::NodeId, std::size_t, util::NodeId, std::int64_t>, Slot>
       received_;
-  /// One distinct signed summary: the canonical payload bytes (the
-  /// equivocation compare), the counters, the content fingerprints in
-  /// forwarding order, and a sorted copy built on first TV use and then
-  /// shared by every evaluating router (previously each router re-sorted
-  /// the same content for every adjacent pair).
+  /// One distinct signed summary: the guard's decoded summary (shared with
+  /// the payload's memo, not copied; it carries the counters and the
+  /// content fingerprints in forwarding order), and a sorted copy of the
+  /// content built on first TV use and then shared by every evaluating
+  /// router (previously each router re-sorted the same content for every
+  /// adjacent pair).
   struct Variant {
-    validation::CounterSummary counters;
-    std::vector<validation::Fingerprint> content;
-    std::vector<std::byte> payload;
+    std::shared_ptr<const SegmentSummary> summary;
     std::vector<validation::Fingerprint> sorted;
   };
   util::FlatMap<std::tuple<std::size_t, util::NodeId, std::int64_t>, std::vector<Variant>>

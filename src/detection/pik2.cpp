@@ -177,8 +177,8 @@ void Pik2Engine::exchange(std::int64_t round) {
 }
 
 void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payload) {
-  std::optional<SegmentSummary> decoded;
-  ControlVerdict verdict = guard_.check_summary(payload.envelope, decoded);
+  std::shared_ptr<const SegmentSummary> decoded;
+  ControlVerdict verdict = guard_.check_summary(payload, decoded);
   if (verdict == ControlVerdict::kOk) {
     verdict = guard_.admit_round(decoded->round, closed_round_,
                                  config_.clock.round_of(net_.sim().now()));
@@ -189,7 +189,7 @@ void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payloa
     // tamperer starves the exchange instead, which surfaces as the
     // whole-segment timeout suspicion (§5.2 semantics); a stale replay is
     // inert because the round it argues about is already closed.
-    guard_.reject(at, util::kInvalidNode, decoded.has_value() ? decoded->round : -1, verdict,
+    guard_.reject(at, util::kInvalidNode, decoded != nullptr ? decoded->round : -1, verdict,
                   nullptr);
     return;
   }
@@ -197,7 +197,7 @@ void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payloa
   if (!seg.is_end(at) || !seg.is_end(decoded->reporter) || decoded->reporter == at) return;
   const std::tuple<util::NodeId, routing::PathSegment, std::int64_t> key{at, seg,
                                                                          decoded->round};
-  const auto [env_it, fresh] = peer_envelope_.emplace(key, payload.envelope);
+  const auto [env_it, fresh] = peer_envelope_.try_emplace(key, payload.envelope);
   if (!fresh) {
     if (env_it->second.payload != payload.envelope.payload) {
       // Two MAC-valid, conflicting summaries from the same end for the
@@ -217,7 +217,7 @@ void Pik2Engine::on_summary(util::NodeId at, const SegmentSummaryPayload& payloa
     return;  // first verified summary stays authoritative
   }
   guard_.accept();
-  peer_[key] = std::move(*decoded);
+  peer_[key] = std::move(decoded);
 }
 
 bool Pik2Engine::churn_invalidated(const routing::PathSegment& seg, std::int64_t round) const {
@@ -262,10 +262,10 @@ void Pik2Engine::evaluate(std::int64_t round) {
         suspect(r, seg, round, "exchange-timeout");
         continue;
       }
-      if (peer_it->second.bloom_form()) {
+      const SegmentSummary& peer_summary = *peer_it->second;
+      if (peer_summary.bloom_form()) {
         // Rebuild our own filter with the peer's shape and estimate the
         // symmetric difference from the XOR population.
-        const auto& peer_summary = peer_it->second;
         validation::BloomFilter mine(peer_summary.bloom_words.size() * 64,
                                      peer_summary.bloom_hashes);
         for (auto fp : own_it->second.content) mine.insert(fp);
@@ -284,7 +284,7 @@ void Pik2Engine::evaluate(std::int64_t round) {
         if (diff > allowance + 4.0) suspect(r, seg, round, "tv-failed");
         continue;
       }
-      if (peer_it->second.reconciled_form()) {
+      if (peer_summary.reconciled_form()) {
         // Reconcile the peer's evaluations against our own content; the
         // recovered difference feeds the same thresholds.
         std::set<std::uint64_t> own_elems;
@@ -294,8 +294,8 @@ void Pik2Engine::evaluate(std::int64_t round) {
         const std::vector<std::uint64_t> local(own_elems.begin(), own_elems.end());
         const auto points = validation::evaluation_points(config_.reconcile_bound + 4);
         const auto result = validation::reconcile(
-            net_.sim().metrics(), local, peer_it->second.recon_evals,
-            static_cast<std::size_t>(peer_it->second.counters.packets), points,
+            net_.sim().metrics(), local, peer_summary.recon_evals,
+            static_cast<std::size_t>(peer_summary.counters.packets), points,
             config_.reconcile_bound);
         TvOutcome outcome;
         if (!result.has_value()) {
@@ -323,7 +323,7 @@ void Pik2Engine::evaluate(std::int64_t round) {
       // Orient: upstream summary is the segment's front end. Spans into
       // the round stores; evaluate_tv copies nothing but its sort scratch.
       const TvView own_view{own_it->second.content, {}, own_it->second.counters.packets};
-      const TvView peer_view{peer_it->second.content, {}, peer_it->second.counters.packets};
+      const TvView peer_view{peer_summary.content, {}, peer_summary.counters.packets};
       const bool we_are_upstream = r == seg.front();
       const auto outcome =
           evaluate_tv(config_.policy, config_.thresholds, we_are_upstream ? own_view : peer_view,

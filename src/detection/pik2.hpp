@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "detection/byzantine.hpp"
@@ -152,9 +151,11 @@ class Pik2Engine {
   };
   util::FlatMap<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>, OwnRecord>
       own_;
-  // Peer summaries received, keyed by (receiver, segment, round). First
-  // verified summary wins; a later conflicting one is an equivocation.
-  util::FlatMap<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>, SegmentSummary>
+  // Peer summaries received, keyed by (receiver, segment, round): the
+  // guard's decoded summary, shared with the payload's memo. First verified
+  // summary wins; a later conflicting one is an equivocation.
+  util::FlatMap<std::tuple<util::NodeId, routing::PathSegment, std::int64_t>,
+                std::shared_ptr<const SegmentSummary>>
       peer_;
   // The envelope backing each peer_ entry, kept so a conflicting second
   // summary can be filed as a two-envelope equivocation proof.

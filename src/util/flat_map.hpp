@@ -90,6 +90,17 @@ class FlatMap {
     return insert(value_type(std::forward<Args>(args)...));
   }
 
+  /// std::map::try_emplace: looks `k` up first and constructs the mapped
+  /// value from `args` only when it inserts, so a present key costs no copy.
+  template <typename... Args>
+  std::pair<iterator, bool> try_emplace(const Key& k, Args&&... args) {
+    auto it = lower_bound(k);
+    if (it != v_.end() && !Compare{}(k, it->first)) return {it, false};
+    return {v_.emplace(it, std::piecewise_construct, std::forward_as_tuple(k),
+                       std::forward_as_tuple(std::forward<Args>(args)...)),
+            true};
+  }
+
   iterator erase(iterator it) { return v_.erase(it); }
   iterator erase(const_iterator it) { return v_.erase(it); }
   std::size_t erase(const Key& k) {

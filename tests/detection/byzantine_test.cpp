@@ -50,13 +50,23 @@ struct GuardHarness {
   }
 };
 
+/// A Pi2 flood payload carrying `env`, its summary the sample's.
+std::shared_ptr<SegmentSummaryPayload> flood_payload(const GuardHarness& h,
+                                                     crypto::SignedEnvelope env) {
+  auto p = std::make_shared<SegmentSummaryPayload>();
+  p->kind_tag = kKindSummaryFlood;
+  p->summary = h.sample();
+  p->envelope = std::move(env);
+  return p;
+}
+
 TEST(ControlGuard, AcceptsWellSignedSummary) {
   GuardHarness h;
   const SegmentSummary s = h.sample();
-  const auto env = crypto::sign(h.keys, 0, s.to_bytes());
-  std::optional<SegmentSummary> out;
-  EXPECT_EQ(h.guard.check_summary(env, out), ControlVerdict::kOk);
-  ASSERT_TRUE(out.has_value());
+  const auto p = flood_payload(h, crypto::sign(h.keys, 0, s.to_bytes()));
+  std::shared_ptr<const SegmentSummary> out;
+  EXPECT_EQ(h.guard.check_summary(*p, out), ControlVerdict::kOk);
+  ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->reporter, 0U);
   EXPECT_EQ(out->content, s.content);
 }
@@ -65,17 +75,17 @@ TEST(ControlGuard, TamperedPayloadIsBadMac) {
   GuardHarness h;
   auto env = crypto::sign(h.keys, 0, h.sample().to_bytes());
   env.payload[env.payload.size() / 2] ^= std::byte{0x40};
-  std::optional<SegmentSummary> out;
-  EXPECT_EQ(h.guard.check_summary(env, out), ControlVerdict::kBadMac);
-  EXPECT_FALSE(out.has_value());
+  std::shared_ptr<const SegmentSummary> out;
+  EXPECT_EQ(h.guard.check_summary(*flood_payload(h, env), out), ControlVerdict::kBadMac);
+  EXPECT_EQ(out, nullptr);
 }
 
 TEST(ControlGuard, ForgedTagIsBadMac) {
   GuardHarness h;
   auto env = crypto::sign(h.keys, 0, h.sample().to_bytes());
   env.tag ^= 1;
-  std::optional<SegmentSummary> out;
-  EXPECT_EQ(h.guard.check_summary(env, out), ControlVerdict::kBadMac);
+  std::shared_ptr<const SegmentSummary> out;
+  EXPECT_EQ(h.guard.check_summary(*flood_payload(h, env), out), ControlVerdict::kBadMac);
 }
 
 TEST(ControlGuard, WrongSignerIsSignerMismatch) {
@@ -84,17 +94,49 @@ TEST(ControlGuard, WrongSignerIsSignerMismatch) {
   // attacker can always sign with its OWN key; it must not be able to
   // speak for another router.
   const auto env = crypto::sign(h.keys, 1, h.sample().to_bytes());
-  std::optional<SegmentSummary> out;
-  EXPECT_EQ(h.guard.check_summary(env, out), ControlVerdict::kSignerMismatch);
-  EXPECT_FALSE(out.has_value());
+  std::shared_ptr<const SegmentSummary> out;
+  EXPECT_EQ(h.guard.check_summary(*flood_payload(h, env), out),
+            ControlVerdict::kSignerMismatch);
+  EXPECT_EQ(out, nullptr);
 }
 
 TEST(ControlGuard, GarbagePayloadIsMalformed) {
   GuardHarness h;
   const std::vector<std::byte> junk{std::byte{0xFF}, std::byte{0xEE}, std::byte{0x01}};
   const auto env = crypto::sign(h.keys, 0, junk);  // MAC verifies, decode cannot
-  std::optional<SegmentSummary> out;
-  EXPECT_EQ(h.guard.check_summary(env, out), ControlVerdict::kMalformed);
+  std::shared_ptr<const SegmentSummary> out;
+  EXPECT_EQ(h.guard.check_summary(*flood_payload(h, env), out), ControlVerdict::kMalformed);
+}
+
+TEST(ControlGuard, VerdictIsKeptPerPayloadAndRegistry) {
+  GuardHarness h;
+  const auto p = flood_payload(h, crypto::sign(h.keys, 0, h.sample().to_bytes()));
+  std::shared_ptr<const SegmentSummary> first;
+  std::shared_ptr<const SegmentSummary> again;
+  ASSERT_EQ(h.guard.check_summary(*p, first), ControlVerdict::kOk);
+  ASSERT_EQ(h.guard.check_summary(*p, again), ControlVerdict::kOk);
+  EXPECT_EQ(first, again);  // decoded once, shared by every later check
+  // Under another registry the signer's key differs: judged afresh.
+  const crypto::KeyRegistry other_keys{502};
+  const ControlGuard other{h.net, other_keys, obs::TraceSource::kPi2, "other"};
+  std::shared_ptr<const SegmentSummary> out;
+  EXPECT_EQ(other.check_summary(*p, out), ControlVerdict::kBadMac);
+  EXPECT_EQ(out, nullptr);
+  EXPECT_EQ(h.guard.check_summary(*p, out), ControlVerdict::kOk);
+  EXPECT_NE(out, nullptr);
+}
+
+TEST(ControlGuard, FloodKeyIsPinned) {
+  // The Pi2 flood/reliable key of a fixed summary under a fixed registry.
+  // Reliable-transport traces and acks carry it, so it must not drift; the
+  // value is SipHash over the summary's canonical bytes and the tag.
+  GuardHarness h;
+  const auto p = flood_payload(h, crypto::sign(h.keys, 0, h.sample().to_bytes()));
+  EXPECT_EQ(ControlGuard::flood_key(*p), 0x91ff6ff2609366a1ULL);
+  std::shared_ptr<const SegmentSummary> out;
+  ASSERT_EQ(h.guard.check_summary(*p, out), ControlVerdict::kOk);
+  // A verdict leaves the key alone.
+  EXPECT_EQ(ControlGuard::flood_key(*p), 0x91ff6ff2609366a1ULL);
 }
 
 TEST(ControlGuard, RoundWindowRejectsStaleAndFuture) {
@@ -423,6 +465,83 @@ TEST(FramingAcceptance, Pi2ForgedFloodConvictsForgerNotVictim) {
         << "victim suspected alone: " << s.to_string();
   }
   EXPECT_TRUE(forger_named);
+}
+
+// -------------------------------------------------- verify-once memo
+
+/// Sends `payload` from `from` straight to its neighbor `to`, the way a
+/// flood hop copy travels.
+void hand_over(LineNet& n, NodeId from, NodeId to,
+               std::shared_ptr<const SegmentSummaryPayload> payload) {
+  sim::PacketHeader hdr;
+  hdr.src = from;
+  hdr.dst = to;
+  hdr.proto = sim::Protocol::kControl;
+  sim::Packet p = n.net.make_packet(hdr, payload->summary.wire_bytes());
+  p.control = std::move(payload);
+  n.net.router(from).interface_to(to)->send(p);
+}
+
+TEST(Pi2VerifyOnce, CopiedPayloadIsReverifiedAtTheNextHop) {
+  // A payload whose memo is filled, then copied the way a tampering router
+  // clones it (attacks::corrupted_clone) and altered: the copy must be
+  // judged on its own bytes at the next honest router, never inherit the
+  // original's verdict or flood key.
+  LineNet n(3);
+  Pi2Config cfg;
+  cfg.clock = RoundClock{SimTime::from_seconds(1), Duration::seconds(1)};
+  cfg.k = 1;
+  Pi2Engine engine(n.net, n.keys, *n.paths, n.terminals(), cfg);
+
+  SegmentSummary summary;
+  summary.reporter = 0;
+  summary.segment = routing::PathSegment{0, 1, 2};
+  summary.round = 0;
+  summary.counters.packets = 3;
+  summary.content = {7, 8, 9};
+  auto valid = std::make_shared<SegmentSummaryPayload>();
+  valid->kind_tag = kKindSummaryFlood;
+  valid->summary = summary;
+  valid->envelope = crypto::sign(n.keys, 0, summary.to_bytes());
+  // Well signed but undecodable: kMalformed, a verdict a copy must not keep.
+  auto empty = std::make_shared<SegmentSummaryPayload>();
+  empty->kind_tag = kKindSummaryFlood;
+  empty->envelope = crypto::sign(n.keys, 0, {});
+
+  std::shared_ptr<SegmentSummaryPayload> tampered;
+  std::shared_ptr<SegmentSummaryPayload> forged_tag;
+  n.net.sim().schedule_at(SimTime::from_seconds(1.1), [&] {
+    hand_over(n, 0, 1, valid);  // r1 and then r2 verify it: memo filled
+    hand_over(n, 0, 1, empty);
+  });
+  n.net.sim().schedule_at(SimTime::from_seconds(1.3), [&] {
+    tampered = std::make_shared<SegmentSummaryPayload>(*valid);
+    tampered->envelope.payload[tampered->envelope.payload.size() / 2] ^= std::byte{0x40};
+    forged_tag = std::make_shared<SegmentSummaryPayload>(*empty);
+    forged_tag->envelope.tag ^= 1;
+    hand_over(n, 0, 1, tampered);
+    hand_over(n, 0, 1, forged_tag);
+  });
+  n.net.sim().run_until(SimTime::from_seconds(1.6));
+
+  const ByzantineStats& st = engine.guard_stats();
+  EXPECT_EQ(st.accepted, 2U);  // the valid payload at r1 and r2
+  EXPECT_EQ(st.rejected_malformed, 1U);
+  EXPECT_EQ(st.rejected_bad_mac, 2U);  // one for each altered copy
+  EXPECT_EQ(st.rejected(), 3U);
+  const ControlGuard fresh{n.net, n.keys, obs::TraceSource::kPi2, "fresh"};
+  std::shared_ptr<const SegmentSummary> out;
+  ASSERT_NE(tampered, nullptr);
+  ASSERT_NE(forged_tag, nullptr);
+  EXPECT_EQ(fresh.check_summary(*tampered, out), ControlVerdict::kBadMac);
+  EXPECT_EQ(fresh.check_summary(*forged_tag, out), ControlVerdict::kBadMac);
+  // Every rejection is pinned on the hop that handed the copy over.
+  ASSERT_FALSE(engine.suspicions().empty());
+  for (const Suspicion& s : engine.suspicions()) {
+    EXPECT_EQ(s.reporter, 1U) << s.to_string();
+    EXPECT_EQ(s.segment, routing::PathSegment{0}) << s.to_string();
+    EXPECT_EQ(s.cause, "invalid-control") << s.to_string();
+  }
 }
 
 TEST(FramingAcceptance, ChiLyingNeighborAttributedNotTheOwner) {

@@ -2,6 +2,7 @@
 // reachable from the FixtureNode::forward_packet hot-path root.
 #include <memory>
 #include <string>
+#include <vector>
 
 struct PacketBuf {
   int* raw_new() { return new int[16]; }  // fires: 'new'
@@ -9,6 +10,11 @@ struct PacketBuf {
   std::string label() {
     std::string out;  // fires: owning std::string
     return out;
+  }
+  int sized() {
+    std::vector<int> v(4);  // fires: owning std::vector, sized construction
+    std::vector<int> make();  // silent: a function declarator
+    return v.front();
   }
 };
 
@@ -18,5 +24,6 @@ struct FixtureNode {
     delete[] buf.raw_new();
     buf.smart();
     buf.label();
+    buf.sized();
   }
 };

@@ -59,6 +59,41 @@ TEST(FlatMap, InsertDoesNotOverwrite) {
   EXPECT_EQ(m.size(), 2U);
 }
 
+/// Counts every copy made of it (the signed envelopes the ledgers store).
+struct CopyCounted {
+  static inline int copies = 0;
+  int value = 0;
+  explicit CopyCounted(int v) : value(v) {}
+  CopyCounted(const CopyCounted& o) : value(o.value) { ++copies; }
+  CopyCounted& operator=(const CopyCounted& o) {
+    value = o.value;
+    ++copies;
+    return *this;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+
+TEST(FlatMap, TryEmplaceCopiesNothingWhenKeyIsPresent) {
+  FlatMap<int, CopyCounted> m;
+  const CopyCounted first(10);
+  const CopyCounted second(99);
+  CopyCounted::copies = 0;
+  auto [it1, ok1] = m.try_emplace(1, first);
+  EXPECT_TRUE(ok1);
+  EXPECT_EQ(it1->second.value, 10);
+  EXPECT_EQ(CopyCounted::copies, 1);  // the one stored copy
+  CopyCounted::copies = 0;
+  auto [it2, ok2] = m.try_emplace(1, second);
+  EXPECT_FALSE(ok2);
+  EXPECT_EQ(it2->second.value, 10);  // the first value stays
+  EXPECT_EQ(CopyCounted::copies, 0);
+  auto [it3, ok3] = m.try_emplace(0, second);  // inserts in key order
+  EXPECT_TRUE(ok3);
+  EXPECT_EQ(m.begin()->first, 0);
+  EXPECT_EQ(m.size(), 2U);
+}
+
 TEST(FlatMap, EraseByKeyAndIterator) {
   FlatMap<int, int> m;
   for (int k : {1, 2, 3, 4}) m[k] = k;

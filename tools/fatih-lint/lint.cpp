@@ -1430,9 +1430,11 @@ class Linter {
         out.emplace_back(p, "'std::" + std::string(w) + "'");
       }
     }
-    // Owning std::string/std::vector value construction. References,
-    // pointers and function declarators do not allocate; push_back/reserve
-    // on a preallocated container is deliberately not flagged.
+    // Owning std::string/std::vector value construction, including sized
+    // construction such as `std::vector<int> v(4)`. References, pointers and
+    // function declarators (`std::vector<int> f();`, the empty-parentheses
+    // form) do not allocate; push_back/reserve on a preallocated container
+    // is deliberately not flagged.
     for (std::string_view w : {std::string_view("string"), std::string_view("vector")}) {
       for (std::size_t p = find_word(s, w, begin); p != std::string::npos && p < end;
            p = find_word(s, w, p + 1)) {
@@ -1446,7 +1448,10 @@ class Linter {
         if (q >= end || !ident_char(s[q])) continue;
         const std::string var = read_ident(s, q);
         const std::size_t after = next_nonspace(s, q + var.size());
-        if (after < end && s[after] == '(') continue;  // function declarator
+        if (after < end && s[after] == '(') {
+          const std::size_t close = next_nonspace(s, after + 1);
+          if (close < end && s[close] == ')') continue;  // function declarator
+        }
         out.emplace_back(p, "owning std::" + std::string(w) + " '" + var + "'");
       }
     }
