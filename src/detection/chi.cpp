@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <queue>
 
@@ -512,11 +511,6 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
   }
   compact_events();
 
-  if (std::getenv("CHI_DEBUG") && drop_qpred.count() >= 2) {
-    std::fprintf(stderr, "DBG round=%lld n=%zu mean_qpred=%.0f mean_ps=%.0f headroom=%.0f min_qpred=%.0f max_qpred=%.0f\n",
-        (long long)stats.round, drop_qpred.count(), drop_qpred.mean(), drop_ps.mean(),
-        (double)queue_limit_ - drop_qpred.mean() - drop_ps.mean(), drop_qpred.min(), drop_qpred.max());
-  }
   // Combined Z-test over the round's losses (dissertation §6.2.1).
   if (learned_ && drop_qpred.count() >= 2) {
     const double n = static_cast<double>(drop_qpred.count());
@@ -710,11 +704,6 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
         }
       }
       const double z_flow = std::max(zc, zs) / std::sqrt(disp);
-      if (std::getenv("CHI_DEBUG") != nullptr && cum.observed > 0) {
-        std::fprintf(stderr, "CUM round=%lld flow=%u obs=%llu exp=%.1f zc=%.2f zs=%.2f\n",
-                     static_cast<long long>(stats.round), flow,
-                     static_cast<unsigned long long>(cum.observed), cum.expected, zc, zs);
-      }
       stats.red_max_flow_z = std::max(stats.red_max_flow_z, z_flow);
       if (z_flow > config_.red_cumulative_z_threshold) {
         suspect(stats.round, "red-cumulative-flow-test", util::normal_cdf(z_flow));

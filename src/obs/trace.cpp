@@ -91,9 +91,6 @@ TraceSink::TraceSink(TraceConfig config) : config_(config) {
 void TraceSink::emit(TraceEvent ev) {
   const auto cat = static_cast<std::size_t>(ev.category);
   if (!config_.enabled[cat]) return;
-  ++offered_;
-  const std::uint32_t n = config_.sample_every[cat];
-  if (n > 1 && (sample_counter_[cat]++ % n) != 0) return;
   ev.seq = next_seq_++;
   ++recorded_;
   if (ring_.size() < config_.capacity) {
@@ -234,9 +231,7 @@ void TraceSink::clear() {
   ring_.clear();
   head_ = 0;
   next_seq_ = 0;
-  offered_ = 0;
   recorded_ = 0;
-  sample_counter_.fill(0);
 }
 
 std::string TraceSink::to_json(const TraceEvent& ev) {

@@ -36,7 +36,7 @@
 namespace fatih::obs {
 
 /// Event taxonomy. One category per kind of question a timeline answers;
-/// runtime enable/sampling is per category (TraceConfig).
+/// runtime enable is per category (TraceConfig).
 enum class TraceCategory : std::uint8_t {
   kDrop = 0,    ///< a packet died, with its ground-truth reason
   kQueue,       ///< queue depth sample at enqueue
@@ -134,17 +134,12 @@ struct TraceEvent {
   [[nodiscard]] const char* note_c_str() const { return note.data(); }
 };
 
-/// Runtime switchboard: which categories record, and 1-in-N sampling per
-/// category (sampling keeps the first of every N offered events).
+/// Runtime switchboard: ring size and which categories record.
 struct TraceConfig {
   std::size_t capacity = 1 << 15;  ///< ring slots; oldest overwritten
   std::array<bool, kTraceCategoryCount> enabled;
-  std::array<std::uint32_t, kTraceCategoryCount> sample_every;
 
-  TraceConfig() {
-    enabled.fill(true);
-    sample_every.fill(1);
-  }
+  TraceConfig() { enabled.fill(true); }
 };
 
 /// The ring-buffered event recorder. Single-threaded, like the simulator.
@@ -157,9 +152,9 @@ class TraceSink {
     return config_.enabled[static_cast<std::size_t>(cat)];
   }
 
-  /// Records `ev` if its category is enabled and passes sampling; stamps
-  /// the sequence number. `ev.at` must be the current simulated time
-  /// (callers pass sim.now()); emit order is the determinism tiebreak.
+  /// Records `ev` if its category is enabled; stamps the sequence number.
+  /// `ev.at` must be the current simulated time (callers pass sim.now());
+  /// emit order is the determinism tiebreak.
   void emit(TraceEvent ev);
 
   // Typed emitters for the instrumented layers (each fills one event and
@@ -182,9 +177,7 @@ class TraceSink {
   void byzantine(util::SimTime at, TraceSource src, TraceCode code, util::NodeId a,
                  util::NodeId b, std::int64_t round, std::uint64_t value, const char* note);
 
-  /// Events offered to emit() (enabled categories only).
-  [[nodiscard]] std::uint64_t offered() const { return offered_; }
-  /// Events that passed sampling and were written to the ring.
+  /// Events written to the ring (enabled categories only).
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
   /// Recorded events already overwritten by newer ones.
   [[nodiscard]] std::uint64_t overwritten() const {
@@ -208,9 +201,7 @@ class TraceSink {
   std::vector<TraceEvent> ring_;  ///< grows to capacity, then wraps
   std::size_t head_ = 0;          ///< next write position once full
   std::uint64_t next_seq_ = 0;
-  std::uint64_t offered_ = 0;
   std::uint64_t recorded_ = 0;
-  std::array<std::uint32_t, kTraceCategoryCount> sample_counter_{};
 };
 
 }  // namespace fatih::obs

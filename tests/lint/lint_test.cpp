@@ -10,7 +10,6 @@
 // module layering off the first directory under src/.
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -112,6 +111,23 @@ TEST(R2AmbientRng, JustifiedSuppressionSilences) {
   const Report r = lint_fixture("r2_rng_suppressed.cpp", "src/lintfix/r2_rng_suppressed.cpp");
   EXPECT_TRUE(r.diagnostics.empty()) << to_text(r);
   EXPECT_EQ(r.suppressed, 1u);
+}
+
+TEST(R2AmbientRng, FlagsEnvironmentReadsInSrc) {
+  const Report r = lint_fixture("r2_env_bad.cpp", "src/lintfix/r2_env_bad.cpp");
+  EXPECT_TRUE(all_rule(r, Rule::kNoAmbientRng));
+  EXPECT_EQ(lines_of(r, Rule::kNoAmbientRng), (std::vector<std::size_t>{5, 6}));
+}
+
+TEST(R2AmbientRng, AllowsEnvironmentNamesThatAreNotReads) {
+  const Report r = lint_fixture("r2_env_clean.cpp", "src/lintfix/r2_env_clean.cpp");
+  EXPECT_TRUE(r.diagnostics.empty()) << to_text(r);
+}
+
+TEST(R2AmbientRng, EnvironmentReadsOutsideSrcAreExempt) {
+  const std::string content = read_fixture("r2_env_bad.cpp");
+  EXPECT_TRUE(lint_files({{"bench/lintfix/env.cpp", content}}, Config{}).diagnostics.empty());
+  EXPECT_TRUE(lint_files({{"tests/lintfix/env.cpp", content}}, Config{}).diagnostics.empty());
 }
 
 // ------------------------------------------------------------------- R3
@@ -540,6 +556,16 @@ TEST(R12HotPathAllocation, FlagsAllocationsReachableFromRoots) {
     EXPECT_EQ(d.chain.back().function, "FixtureNode::forward_packet");
 }
 
+TEST(R12HotPathAllocation, FollowsNamespaceQualifiedCallsToFreeFunctions) {
+  const Report r = lint_fixture("r12_alloc_ns_bad.cpp", "src/lintfix/r12_alloc_ns_bad.cpp",
+                                only(Rule::kHotPathAllocation));
+  ASSERT_EQ(lines_of(r, Rule::kHotPathAllocation), (std::vector<std::size_t>{9})) << to_text(r);
+  std::vector<std::string> hops;
+  for (const ChainHop& h : r.diagnostics[0].chain) hops.push_back(h.function);
+  EXPECT_EQ(hops, (std::vector<std::string>{"mix", "fingerprint",
+                                            "FixtureSummaryGenerator::record"}));
+}
+
 TEST(R12HotPathAllocation, SilentWhenHotPathIsPreallocated) {
   const Report r = lint_fixture("r12_alloc_clean.cpp", "src/lintfix/r12_alloc_clean.cpp",
                                 only(Rule::kHotPathAllocation));
@@ -718,68 +744,6 @@ TEST(Symgraph, DotDumpIsDeterministicAndNamesEdges) {
                      "\"scale@src/symgraph_overloads.cpp:3\""),
             std::string::npos)
       << dot;
-}
-
-// ------------------------------------------------------------- symbol cache
-
-TEST(SymCache, CodecRoundTripsByteExactly) {
-  const symgraph::FileSyms syms =
-      symgraph::extract_symbols("src/symgraph_methods.cpp",
-                                strip_to_code(read_fixture("symgraph_methods.cpp")));
-  const std::string enc = symgraph::encode_syms(syms);
-  symgraph::FileSyms back;
-  ASSERT_TRUE(symgraph::decode_syms(enc, back));
-  EXPECT_EQ(symgraph::encode_syms(back), enc);
-  EXPECT_EQ(back.functions.size(), syms.functions.size());
-  EXPECT_EQ(back.calls.size(), syms.calls.size());
-}
-
-TEST(SymCache, RejectsMalformedEntries) {
-  symgraph::FileSyms out;
-  EXPECT_FALSE(symgraph::decode_syms("", out));
-  EXPECT_FALSE(symgraph::decode_syms("fatih-symcache 99\npath x\n", out));
-  EXPECT_FALSE(symgraph::decode_syms("fatih-symcache 1\npath x\nfn bogus\n", out));
-  // A call referencing an out-of-range caller index is rejected.
-  EXPECT_FALSE(symgraph::decode_syms("fatih-symcache 1\npath x\ncall 7 1 0 2 f -\n", out));
-}
-
-TEST(SymCache, CachedAndUncachedRunsAreByteIdentical) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "fatih_lint_symcache_selftest";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  std::vector<SourceFile> files;
-  for (const char* name : {"r10_taint_bad.cpp", "r11_float_bad.cpp", "r12_alloc_bad.cpp"})
-    files.push_back({std::string("src/lintfix/") + name, read_fixture(name)});
-  AnalyzeOptions cached;
-  cached.cache_dir = dir.string();
-  const std::string uncached_json = to_json(analyze(files, AnalyzeOptions{}).report);
-  const std::string cold_json = to_json(analyze(files, cached).report);  // populates
-  const std::string warm_json = to_json(analyze(files, cached).report);  // reuses
-  EXPECT_EQ(cold_json, uncached_json);
-  EXPECT_EQ(warm_json, uncached_json);
-  EXPECT_NE(uncached_json.find("\"chain\""), std::string::npos);
-  std::size_t entries = 0;
-  for (const auto& e : fs::directory_iterator(dir)) {
-    (void)e;
-    ++entries;
-  }
-  EXPECT_EQ(entries, files.size());
-
-  // A corrupted entry must fall back to fresh extraction, not bad symbols.
-  std::string key_bytes = files[0].path;
-  key_bytes.push_back('\0');
-  key_bytes += files[0].content;
-  char entry_name[32];
-  std::snprintf(entry_name, sizeof(entry_name), "%016llx.syms",
-                static_cast<unsigned long long>(symgraph::fnv1a64(key_bytes)));
-  {
-    std::ofstream corrupt(dir / entry_name, std::ios::binary | std::ios::trunc);
-    corrupt << "not a symcache entry";
-  }
-  EXPECT_EQ(to_json(analyze(files, cached).report), uncached_json);
-  fs::remove_all(dir);
 }
 
 // Comment/string stripping: rule tokens inside comments and string

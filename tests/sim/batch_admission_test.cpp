@@ -1,7 +1,7 @@
-// Batched queue admission and the idle-transmitter fast path: the
-// semantics of enqueue_batch / pass_through / Interface::send_batch must
-// be indistinguishable from per-packet admission (same verdicts, same
-// arrival times), and the rearm_current scheduling primitive must fire at
+// Same-instant queue admission and the idle-transmitter fast path: the
+// pass_through shortcut must be indistinguishable from queueing (same
+// verdicts, same depths), a burst sent in one instant is capped by the
+// byte limit, and the rearm_current scheduling primitive must fire at
 // exactly the times repeated schedule_in calls would.
 #include <gtest/gtest.h>
 
@@ -41,33 +41,6 @@ TEST(DropTailQueue, PassThroughOnlyWhenEmptyAndFitting) {
   EXPECT_FALSE(q.pass_through(packet_of(100), {}));
 }
 
-TEST(DropTailQueue, EnqueueBatchMatchesSequentialEnqueue) {
-  // Same offers through both paths must give identical verdicts and
-  // identical final queue state.
-  std::vector<Packet> offers;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    offers.push_back(packet_of(i % 3 == 2 ? 1500 : 400, i));
-  }
-  DropTailQueue seq(3000);
-  std::vector<EnqueueResult> want;
-  for (const auto& p : offers) want.push_back(seq.enqueue(p, {}));
-
-  DropTailQueue batched(3000);
-  std::vector<EnqueueResult> got(offers.size());
-  batched.enqueue_batch(offers, {}, got.data());
-  EXPECT_EQ(got, want);
-  EXPECT_EQ(batched.byte_length(), seq.byte_length());
-  EXPECT_EQ(batched.packet_count(), seq.packet_count());
-  // Surviving packets come out in the same order.
-  for (;;) {
-    auto a = seq.dequeue({});
-    auto b = batched.dequeue({});
-    ASSERT_EQ(a.has_value(), b.has_value());
-    if (!a.has_value()) break;
-    EXPECT_EQ(a->uid, b->uid);
-  }
-}
-
 // Two routers connected by one duplex link (same shape as network_test).
 struct Pair {
   Network net{1};
@@ -92,72 +65,32 @@ struct Pair {
   }
 };
 
-TEST(Interface, SendBatchMatchesSequentialSendTiming) {
-  // The same burst, shipped via send_batch on one network and via N
-  // individual sends on another, must arrive at identical times and in
-  // identical order.
-  LinkConfig cfg;
-  cfg.bandwidth_bps = 8e6;
-  cfg.delay = Duration::millis(1);
-
-  auto run = [&](bool batched) {
-    Pair p(cfg);
-    std::vector<std::pair<std::uint64_t, SimTime>> arrivals;
-    p.b->add_local_handler([&](const Packet& pkt, NodeId, SimTime now) {
-      arrivals.emplace_back(pkt.uid, now);
-    });
-    p.net.sim().schedule_at(SimTime::origin(), [&] {
-      std::vector<Packet> burst;
-      for (int i = 0; i < 5; ++i) burst.push_back(p.make(p.a->id(), p.b->id(), 960));
-      Interface* out = p.a->interface_to(p.b->id());
-      if (batched) {
-        std::vector<EnqueueResult> results(burst.size());
-        out->send_batch(burst, results.data());
-        for (const auto r : results) EXPECT_EQ(r, EnqueueResult::kAccepted);
-      } else {
-        for (const auto& pkt : burst) EXPECT_EQ(out->send(pkt), EnqueueResult::kAccepted);
-      }
-    });
-    p.net.sim().run();
-    return arrivals;
-  };
-
-  const auto sequential = run(false);
-  const auto batched = run(true);
-  ASSERT_EQ(sequential.size(), 5u);
-  // uids differ between the two networks (independent counters), but the
-  // arrival times and relative order must match exactly.
-  ASSERT_EQ(batched.size(), sequential.size());
-  for (std::size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(batched[i].second, sequential[i].second) << "packet " << i;
-  }
-}
-
 TEST(Interface, SendBatchDropsOverflowTail) {
   LinkConfig cfg;
   cfg.bandwidth_bps = 8e6;
   cfg.delay = Duration::millis(1);
-  cfg.queue_limit_bytes = 2000;  // room for exactly two 1000-byte packets
+  cfg.queue_limit_bytes = 2000;  // room for two queued 1000-byte packets
   Pair p(cfg);
   std::size_t delivered = 0;
   p.b->add_local_handler([&](const Packet&, NodeId, SimTime) { ++delivered; });
-  std::vector<EnqueueResult> results(6);
+  std::vector<EnqueueResult> results;
   p.net.sim().schedule_at(SimTime::origin(), [&] {
-    std::vector<Packet> burst;
-    for (int i = 0; i < 6; ++i) burst.push_back(p.make(p.a->id(), p.b->id(), 960));
-    p.a->interface_to(p.b->id())->send_batch(burst, results.data());
+    Interface* out = p.a->interface_to(p.b->id());
+    for (int i = 0; i < 6; ++i) results.push_back(out->send(p.make(p.a->id(), p.b->id(), 960)));
   });
   p.net.sim().run();
-  // A batch is admitted in one instant, before the transmitter drains
-  // anything, so the byte limit caps the whole burst at two packets —
-  // identical to six back-to-back sends at the same timestamp.
+  // Six sends in one event are admitted in one instant, before the
+  // transmitter drains anything: the first goes straight to the idle
+  // transmitter, the next two fill the 2000-byte queue, and the byte limit
+  // drops the remaining three.
+  ASSERT_EQ(results.size(), 6u);
   EXPECT_EQ(results[0], EnqueueResult::kAccepted);
   EXPECT_EQ(results[1], EnqueueResult::kAccepted);
-  EXPECT_EQ(results[2], EnqueueResult::kDroppedFull);
+  EXPECT_EQ(results[2], EnqueueResult::kAccepted);
   EXPECT_EQ(results[3], EnqueueResult::kDroppedFull);
   EXPECT_EQ(results[4], EnqueueResult::kDroppedFull);
   EXPECT_EQ(results[5], EnqueueResult::kDroppedFull);
-  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(delivered, 3u);
 }
 
 TEST(Interface, LastAdmitDepthTracksBothPaths) {

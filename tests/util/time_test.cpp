@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace fatih::util {
 namespace {
 
@@ -73,6 +79,62 @@ TEST(TimeInterval, ContainsHalfOpen) {
 TEST(TimeFormatting, Renders) {
   EXPECT_EQ(to_string(SimTime::from_seconds(1.5)), "1.500000s");
   EXPECT_EQ(to_string(Duration::millis(250)), "0.250000s");
+}
+
+std::string printf_seconds(std::int64_t ns) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.6fs", static_cast<double>(ns) / 1e9);
+  return buf;
+}
+
+TEST(TimeFormatting, IntegerFormatMatchesPrintfOffTies) {
+  // Off the ±500 ns ties, the integer formatter prints exactly what
+  // "%.6fs" of the double quotient prints: small counts, both sides of
+  // every microsecond and second boundary, round boundaries, negative
+  // durations (including the "-0.000000s" of sub-half-microsecond
+  // negatives), long runs and the extremes.
+  std::vector<std::int64_t> sweep;
+  for (std::int64_t ns = 0; ns <= 20'000; ++ns) sweep.push_back(ns);
+  for (const std::int64_t base : {std::int64_t{1'000'000}, std::int64_t{999'999'000},
+                                  std::int64_t{1'000'000'000}, std::int64_t{59'999'999'000},
+                                  std::int64_t{3'600'000'000'000}}) {
+    for (std::int64_t off = -1500; off <= 1500; ++off) sweep.push_back(base + off);
+  }
+  for (std::int64_t round = 0; round <= 600; ++round) sweep.push_back(round * 500'000'000);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 20'000; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    sweep.push_back(static_cast<std::int64_t>(x >> 21));  // up to ~8.8e12 ns
+  }
+  sweep.push_back(std::numeric_limits<std::int64_t>::max());
+  const std::size_t positives = sweep.size();
+  for (std::size_t i = 0; i < positives; ++i) sweep.push_back(-sweep[i]);
+  sweep.push_back(std::numeric_limits<std::int64_t>::min());
+
+  std::size_t compared = 0;
+  for (const std::int64_t ns : sweep) {
+    const std::uint64_t mag =
+        ns < 0 ? 0 - static_cast<std::uint64_t>(ns) : static_cast<std::uint64_t>(ns);
+    if (mag % 1000 == 500) continue;  // ties: see the next test
+    ++compared;
+    ASSERT_EQ(to_string(Duration::nanos(ns)), printf_seconds(ns)) << ns << " ns";
+    ASSERT_EQ(to_string(SimTime::from_nanos(ns)), printf_seconds(ns)) << ns << " ns";
+  }
+  EXPECT_GT(compared, 100'000u);
+}
+
+TEST(TimeFormatting, TiesRoundAwayFromZero) {
+  // An exact ±500 ns tie rounds away from zero. "%.6fs" of ns / 1e9 does
+  // whatever side the double quotient lands on, so it agrees on some ties
+  // and not on others; these are the divergences this formatter accepts.
+  EXPECT_EQ(to_string(Duration::nanos(500)), "0.000001s");
+  EXPECT_EQ(printf_seconds(500), "0.000000s");  // 5e-7 is stored just below
+  EXPECT_EQ(to_string(Duration::nanos(-500)), "-0.000001s");
+  EXPECT_EQ(printf_seconds(-500), "-0.000000s");
+  EXPECT_EQ(to_string(Duration::nanos(1'500)), "0.000002s");
+  EXPECT_EQ(printf_seconds(1'500), "0.000002s");  // 1.5e-6 is stored just above
+  EXPECT_EQ(to_string(SimTime::from_nanos(1'000'000'500)), "1.000001s");
+  EXPECT_EQ(to_string(SimTime::from_nanos(2'499'999'500)), "2.500000s");
 }
 
 }  // namespace

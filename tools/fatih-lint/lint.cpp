@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -356,6 +355,7 @@ enum class SourceKind : std::uint8_t {
   kRandCall,       ///< rand()/srand() call
   kRngDevice,      ///< random_device / default_random_engine mention
   kDefaultSeeded,  ///< default-constructed standard engine
+  kEnvRead,        ///< getenv() call: behaviour keyed on the process environment
 };
 
 struct TaintHit {
@@ -363,6 +363,16 @@ struct TaintHit {
   SourceKind kind = SourceKind::kClockName;
   std::string name;
 };
+
+/// True when the unqualified name at `pos` is being declared, not called:
+/// in `RoundClock clock()` a preceding identifier that isn't a statement
+/// keyword is a return type.
+bool declares_function(const std::string& s, std::size_t pos) {
+  const std::size_t before = prev_nonspace(s, pos);
+  if (before == std::string::npos || !ident_char(s[before])) return false;
+  const std::string prev = read_ident_before(s, before + 1);
+  return prev != "return" && prev != "else" && prev != "case" && prev != "co_return";
+}
 
 std::vector<TaintHit> wallclock_hits(const std::string& s) {
   std::vector<TaintHit> out;
@@ -384,18 +394,7 @@ std::vector<TaintHit> wallclock_hits(const std::string& s) {
           s[next_nonspace(s, p + w.size())] != '(')
         continue;
       const Qual q = qualifier_before(s, p);
-      if (q == Qual::kOther) continue;
-      if (q == Qual::kNone) {
-        // `RoundClock clock()` is a function *declaration* named clock,
-        // not a call: a preceding identifier that isn't a statement
-        // keyword means a return type.
-        const std::size_t before = prev_nonspace(s, p);
-        if (before != std::string::npos && ident_char(s[before])) {
-          const std::string prev = read_ident_before(s, before + 1);
-          if (prev != "return" && prev != "else" && prev != "case" && prev != "co_return")
-            continue;
-        }
-      }
+      if (q == Qual::kOther || (q == Qual::kNone && declares_function(s, p))) continue;
       out.push_back({p, SourceKind::kClockCall, std::string(w)});
     }
   }
@@ -414,6 +413,15 @@ std::vector<TaintHit> rng_hits(const std::string& s) {
       if (qualifier_before(s, p) == Qual::kOther) continue;
       out.push_back({p, SourceKind::kRandCall, std::string(w)});
     }
+  }
+  constexpr std::string_view kGetenv = "getenv";
+  for (std::size_t p = find_word(s, kGetenv, 0); p != std::string::npos;
+       p = find_word(s, kGetenv, p + 1)) {
+    const std::size_t after = next_nonspace(s, p + kGetenv.size());
+    if (after >= s.size() || s[after] != '(') continue;
+    const Qual q = qualifier_before(s, p);
+    if (q == Qual::kOther || (q == Qual::kNone && declares_function(s, p))) continue;
+    out.push_back({p, SourceKind::kEnvRead, std::string(kGetenv)});
   }
   for (std::string_view w :
        {std::string_view("random_device"), std::string_view("default_random_engine")}) {
@@ -626,6 +634,14 @@ class Linter {
     if (starts_with(path, "src/util/rng.")) return;
     for (const TaintHit& h : rng_hits(ctx.code)) {
       switch (h.kind) {
+        case SourceKind::kEnvRead:
+          // Benches and tests may read their own environment; the library
+          // takes every knob through its explicit configuration.
+          if (!starts_with(path, "src/")) break;
+          emit(ctx, ctx.line_of(h.pos), Rule::kNoAmbientRng,
+               "'getenv()' makes behaviour depend on the process environment; pass the "
+               "setting through explicit configuration");
+          break;
         case SourceKind::kRandCall:
           emit(ctx, ctx.line_of(h.pos), Rule::kNoAmbientRng,
                "'" + h.name +
@@ -1142,20 +1158,10 @@ class Linter {
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
 
   void build_symbols() {
-    if (!opts_.cache_dir.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(opts_.cache_dir, ec);
-    }
     std::vector<symgraph::FileSyms> syms;
     syms.reserve(ctxs_.size());
-    for (const FileCtx& ctx : ctxs_) {
-      if (!opts_.cache_dir.empty()) {
-        syms.push_back(symgraph::extract_symbols_cached(ctx.src->path, ctx.src->content,
-                                                        ctx.code, opts_.cache_dir));
-      } else {
-        syms.push_back(symgraph::extract_symbols(ctx.src->path, ctx.code));
-      }
-    }
+    for (const FileCtx& ctx : ctxs_)
+      syms.push_back(symgraph::extract_symbols(ctx.src->path, ctx.code));
     graph_ = symgraph::build_graph(syms);
     for (std::uint32_t i = 0; i < graph_.nodes.size(); ++i)
       nodes_by_file_[graph_.nodes[i].file].push_back(i);
@@ -1309,6 +1315,9 @@ class Linter {
             break;
           case SourceKind::kRngDevice:
             hits.push_back({h.pos, "nondeterministic engine '" + h.name + "'"});
+            break;
+          case SourceKind::kEnvRead:
+            hits.push_back({h.pos, "environment read 'getenv()'"});
             break;
           default:
             hits.push_back({h.pos, "default-seeded engine '" + h.name + "'"});

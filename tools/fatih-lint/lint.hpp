@@ -8,7 +8,8 @@
 // preserved) and applies twelve rules, each individually toggleable:
 //
 //   R1 no-wallclock          wall-clock time sources outside util/time
-//   R2 no-ambient-rng        ambient / default-seeded randomness
+//   R2 no-ambient-rng        ambient / default-seeded randomness, and
+//                              environment reads (getenv) in src/
 //   R3 no-unordered-iteration  iterating hash containers (order is
 //                              pointer/seed dependent; lookups are fine)
 //   R4 no-pointer-keyed-order  ordered containers / sort comparators
@@ -153,10 +154,6 @@ struct Report {
 /// Extended analysis entry point: lint_files plus symbol-graph control.
 struct AnalyzeOptions {
   Config cfg{};
-  /// Non-empty: reuse/populate the per-file symbol extraction cache in
-  /// this directory (created if missing). Keyed by FNV-1a content hash,
-  /// so cached and uncached runs are byte-identical (pinned by test).
-  std::string cache_dir{};
   /// Always build and return the call graph, even if no interprocedural
   /// rule is enabled (for --graph-dot).
   bool want_graph = false;

@@ -4,7 +4,7 @@
 //
 //   fatih-lint [--root DIR] [--json] [--disable RULE[,RULE...]]
 //              [--enable-only RULE[,RULE...]] [--list-rules]
-//              [--graph-dot FILE] [--cache-dir DIR] [paths...]
+//              [--graph-dot FILE] [paths...]
 //
 // Paths default to `src bench tests` relative to --root (default: cwd).
 // tests/lint/fixtures/ is always excluded: it is the deliberately-broken
@@ -12,8 +12,7 @@
 //
 // --graph-dot FILE writes the extracted cross-TU call graph (the substrate
 // of rules R10–R12) as deterministically sorted Graphviz, for inspecting
-// evidence chains and layering by hand. --cache-dir DIR reuses per-file
-// symbol extraction across invocations, keyed by FNV-1a content hash.
+// evidence chains and layering by hand.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -57,8 +56,7 @@ bool parse_rule_list(const std::string& list, std::vector<Rule>& out) {
 int usage() {
   std::fprintf(stderr,
                "usage: fatih-lint [--root DIR] [--json] [--disable RULES] "
-               "[--enable-only RULES] [--list-rules] [--graph-dot FILE] "
-               "[--cache-dir DIR] [paths...]\n");
+               "[--enable-only RULES] [--list-rules] [--graph-dot FILE] [paths...]\n");
   return 2;
 }
 
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
   Config cfg;
   std::vector<std::string> roots;
   std::string graph_dot;
-  std::string cache_dir;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -82,9 +79,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--graph-dot") {
       if (++i >= argc) return usage();
       graph_dot = argv[i];
-    } else if (arg == "--cache-dir") {
-      if (++i >= argc) return usage();
-      cache_dir = argv[i];
     } else if (arg == "--disable") {
       if (++i >= argc) return usage();
       std::vector<Rule> rules;
@@ -145,7 +139,6 @@ int main(int argc, char** argv) {
 
   fatih::lint::AnalyzeOptions opts;
   opts.cfg = cfg;
-  opts.cache_dir = cache_dir;
   opts.want_graph = !graph_dot.empty();
   const fatih::lint::AnalyzeResult result = fatih::lint::analyze(files, opts);
   if (!graph_dot.empty()) {

@@ -1,8 +1,6 @@
 #include "symgraph.hpp"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 
@@ -463,95 +461,6 @@ FileSyms extract_symbols(const std::string& path, const std::string& blanked) {
   return out;
 }
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string encode_syms(const FileSyms& syms) {
-  std::ostringstream os;
-  os << "fatih-symcache 1\n";
-  os << "path " << syms.path << "\n";
-  for (const SymFunction& f : syms.functions) {
-    os << "fn " << f.line << " " << f.body_begin << " " << f.body_end << " " << f.min_args << " "
-       << f.max_args << " " << f.name << " " << f.qualified << "\n";
-  }
-  for (const SymCall& c : syms.calls) {
-    os << "call " << c.caller << " " << c.line << " " << (c.member ? 1 : 0) << " " << c.argc
-       << " " << c.name << " " << (c.qualifier.empty() ? "-" : c.qualifier) << "\n";
-  }
-  return os.str();
-}
-
-bool decode_syms(std::string_view text, FileSyms& out) {
-  out = FileSyms{};
-  std::istringstream is{std::string(text)};
-  std::string line;
-  if (!std::getline(is, line) || line != "fatih-symcache 1") return false;
-  if (!std::getline(is, line) || line.rfind("path ", 0) != 0) return false;
-  out.path = line.substr(5);
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "fn") {
-      SymFunction f;
-      ls >> f.line >> f.body_begin >> f.body_end >> f.min_args >> f.max_args >> f.name >>
-          f.qualified;
-      if (ls.fail() || f.name.empty() || f.qualified.empty()) return false;
-      out.functions.push_back(std::move(f));
-    } else if (kind == "call") {
-      SymCall c;
-      int member = 0;
-      std::string qual;
-      ls >> c.caller >> c.line >> member >> c.argc >> c.name >> qual;
-      if (ls.fail() || c.name.empty() || qual.empty() || member < 0 || member > 1) return false;
-      if (c.caller >= out.functions.size()) return false;
-      c.member = member == 1;
-      c.qualifier = qual == "-" ? std::string() : qual;
-      out.calls.push_back(std::move(c));
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
-FileSyms extract_symbols_cached(const std::string& path, const std::string& content,
-                                const std::string& blanked, const std::string& cache_dir) {
-  namespace fs = std::filesystem;
-  std::string key_bytes = path;
-  key_bytes.push_back('\0');
-  key_bytes += content;
-  const std::uint64_t key = fnv1a64(key_bytes);
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.syms", static_cast<unsigned long long>(key));
-  const fs::path entry = fs::path(cache_dir) / name;
-
-  std::error_code ec;
-  if (fs::exists(entry, ec)) {
-    std::ifstream in(entry, std::ios::binary);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      FileSyms cached;
-      if (decode_syms(ss.str(), cached) && cached.path == path) return cached;
-    }
-  }
-  FileSyms fresh = extract_symbols(path, blanked);
-  std::ofstream outf(entry, std::ios::binary | std::ios::trunc);
-  if (outf) {
-    const std::string enc = encode_syms(fresh);
-    outf.write(enc.data(), static_cast<std::streamsize>(enc.size()));
-  }
-  return fresh;
-}
-
 Graph build_graph(const std::vector<FileSyms>& files) {
   Graph g;
   // Deterministic node order regardless of input order: sort file refs by
@@ -595,9 +504,19 @@ Graph build_graph(const std::vector<FileSyms>& files) {
       if (cit == node_of.end()) continue;
       const std::uint32_t caller_node = cit->second;
       const std::vector<std::uint32_t>* candidates = nullptr;
+      std::vector<std::uint32_t> free_fns;
       if (!c.qualifier.empty()) {
         const auto it = g.by_qualified.find(c.qualifier + "::" + c.name);
-        if (it != g.by_qualified.end()) candidates = &it->second;
+        if (it != g.by_qualified.end()) {
+          candidates = &it->second;
+        } else if (const auto bn = g.by_name.find(c.name); bn != g.by_name.end()) {
+          // No `Cls::name` method: the qualifier is a namespace, which
+          // does not qualify recorded names, so bind to the free functions
+          // of that name.
+          for (const std::uint32_t idx : bn->second)
+            if (g.nodes[idx].fn.qualified == c.name) free_fns.push_back(idx);
+          candidates = &free_fns;
+        }
       } else if (c.member) {
         const auto it = g.methods_by_name.find(c.name);
         if (it != g.methods_by_name.end()) candidates = &it->second;

@@ -23,8 +23,10 @@
 //     `obj.f(` / `p->f(` record a member call, a bare `f(` records an
 //     unqualified call. `std::` calls and declaration-looking forms
 //     (`Type var(...)`) are dropped.
-//   * Linking is conservative: an explicitly qualified call binds only to
-//     exact `Cls::name` matches; a member call binds to every *method*
+//   * Linking is conservative: an explicitly qualified call binds to
+//     exact `Cls::name` matches, or, when no such method exists, to the
+//     free functions named `name` (`ns::f(` — namespaces do not qualify
+//     recorded names); a member call binds to every *method*
 //     named `name`; an unqualified call binds to the caller's own class
 //     method when one exists (mirroring C++ unqualified lookup), else to
 //     every function named `name` (methods and free functions alike —
@@ -34,17 +36,11 @@
 //     unbound max). Calls through function pointers or `std::function`
 //     have no callee identifier and are ignored, never resolved and never
 //     fatal.
-//
-// Extraction is per-file and content-addressed, so results can be cached
-// across analyzer invocations: the cache key is FNV-1a over
-// `path + '\0' + content`, and the cache codec round-trips byte-exactly
-// (cached and uncached runs produce identical graphs, pinned by test).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace fatih::lint::symgraph {
@@ -73,7 +69,7 @@ struct SymCall {
   std::uint32_t argc = 0;    ///< written argument count at the call site
 };
 
-/// Symbols of one file: the unit of extraction and of caching.
+/// Symbols of one file: the unit of extraction.
 struct FileSyms {
   std::string path;
   std::vector<SymFunction> functions;  ///< in definition order
@@ -84,24 +80,6 @@ struct FileSyms {
 /// linter's preprocessed code (comments/strings blanked, line structure
 /// preserved); `path` is the repo-relative path recorded in the result.
 [[nodiscard]] FileSyms extract_symbols(const std::string& path, const std::string& blanked);
-
-/// FNV-1a 64-bit over bytes; the extraction-cache content key.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes);
-
-/// Deterministic line-oriented cache codec. decode returns false (and
-/// leaves `out` unspecified) on any malformed input — a stale or truncated
-/// cache entry falls back to fresh extraction, never to wrong symbols.
-[[nodiscard]] std::string encode_syms(const FileSyms& syms);
-[[nodiscard]] bool decode_syms(std::string_view text, FileSyms& out);
-
-/// Cached extraction: looks up `cache_dir/<fnv1a64(path\0content)>.syms`,
-/// falling back to extract_symbols(path, blanked) and writing the entry
-/// back on a miss. `cache_dir` must exist; I/O failures degrade to
-/// uncached extraction.
-[[nodiscard]] FileSyms extract_symbols_cached(const std::string& path,
-                                              const std::string& content,
-                                              const std::string& blanked,
-                                              const std::string& cache_dir);
 
 /// The linked repo-wide call graph. Nodes are sorted by (qualified, file,
 /// line); edges are per-node, sorted by callee index, deduplicated to the

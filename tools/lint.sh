@@ -7,8 +7,7 @@
 #   1. fatih-lint   determinism/invariant rules over src/, bench/, tests/
 #                   (tools/fatih-lint; built here if missing). Runs three
 #                   times — full text report, R10-R12 evidence-chain JSON,
-#                   and the --graph-dot call-graph dump — sharing one
-#                   symbol-extraction cache so the tree is tokenized once.
+#                   and the --graph-dot call-graph dump.
 #   2. clang-tidy   checks from the checked-in .clang-tidy, driven over
 #                   compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS is
 #                   always on)
@@ -25,17 +24,15 @@ cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target fatih-lint >/dev/null
 
 FATIH_LINT="$BUILD_DIR/tools/fatih-lint/fatih-lint"
-SYMCACHE="$BUILD_DIR/fatih-lint-symcache"
-mkdir -p "$SYMCACHE"
 
 echo "== fatih-lint =="
-"$FATIH_LINT" --root . --cache-dir "$SYMCACHE" src bench tests || status=1
+"$FATIH_LINT" --root . src bench tests || status=1
 
 # Interprocedural evidence chains (R10-R12) as machine-readable JSON, plus
-# the Graphviz call graph — both reuse the extraction cache warmed above.
-"$FATIH_LINT" --root . --cache-dir "$SYMCACHE" --enable-only R10,R11,R12 \
+# the Graphviz call graph.
+"$FATIH_LINT" --root . --enable-only R10,R11,R12 \
   --json src bench tests > "$BUILD_DIR/fatih-lint-chains.json" || status=1
-"$FATIH_LINT" --root . --cache-dir "$SYMCACHE" --enable-only R10,R11,R12 \
+"$FATIH_LINT" --root . --enable-only R10,R11,R12 \
   --graph-dot "$BUILD_DIR/fatih-symgraph.dot" src bench tests >/dev/null || status=1
 echo "evidence chains: $BUILD_DIR/fatih-lint-chains.json"
 echo "call graph:      $BUILD_DIR/fatih-symgraph.dot"
