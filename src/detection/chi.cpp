@@ -17,6 +17,26 @@ namespace fatih::detection {
 namespace {
 constexpr const char* kComponent = "chi";
 constexpr double kSigmaFloor = 64.0;  // bytes; guards against degenerate calibration
+/// Target significance for the single-packet test (§6.1.3).
+constexpr double kSingleThreshold = 0.99;
+/// Target significance for the combined Z-test.
+constexpr double kCombinedThreshold = 0.999;
+/// Z threshold for the RED per-flow / global drop-count test (per round),
+/// applied to overdispersion-normalized z scores.
+constexpr double kRedZThreshold = 5.0;
+/// Z threshold for the cumulative per-flow test (evidence accumulated
+/// across rounds; catches rate-limited attacks like Fig. 6.15's 5%).
+constexpr double kRedCumulativeZThreshold = 5.0;
+/// Suspicious-count test: H0 probability of a congestive drop looking
+/// individually suspicious, the z threshold, and the minimum count.
+constexpr double kCountTestP0 = 0.05;
+constexpr double kCountZThreshold = 4.0;
+constexpr std::uint64_t kCountTestMin = 8;
+/// Conservation of timeliness (§2.4.1): a packet's queue sojourn can never
+/// legitimately exceed a full queue's drain time; anything beyond
+/// (limit drain time) * kDelaySlack + 10 ms is a malicious delay.
+constexpr double kDelaySlack = 1.5;
+constexpr std::uint64_t kDelayedPacketsMin = 3;  ///< per-round alarm threshold
 }  // namespace
 
 QueueValidator::QueueValidator(sim::Network& net, const crypto::KeyRegistry& keys,
@@ -408,7 +428,7 @@ void QueueValidator::stage_ready_entries(util::SimTime upto, RoundStats& stats) 
   const double drain_seconds =
       static_cast<double>(queue_limit_) * 8.0 / link_.bandwidth_bps;
   const auto max_sojourn =
-      util::Duration::from_seconds(drain_seconds * config_.delay_slack) +
+      util::Duration::from_seconds(drain_seconds * kDelaySlack) +
       util::Duration::millis(10);
 
   // Append the round's events then restore order with one sort +
@@ -443,7 +463,7 @@ void QueueValidator::stage_ready_entries(util::SimTime upto, RoundStats& stats) 
   std::sort(events_.begin() + static_cast<std::ptrdiff_t>(merge_from), events_.end());
   std::inplace_merge(events_.begin() + static_cast<std::ptrdiff_t>(events_head_),
                      events_.begin() + static_cast<std::ptrdiff_t>(merge_from), events_.end());
-  if (learned_ && stats.delayed >= config_.delayed_packets_min) {
+  if (learned_ && stats.delayed >= kDelayedPacketsMin) {
     suspect(stats.round, "delay-test", 1.0);
     stats.alarmed = true;
   }
@@ -498,7 +518,7 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
       // drop is only damning with at least that much headroom beyond the
       // Gaussian band.
       const double guard = max_entry_ps_ + 4.0 * sigma_;
-      if (csingle >= config_.single_threshold && headroom - mu_ >= guard) {
+      if (csingle >= kSingleThreshold && headroom - mu_ >= guard) {
         suspect(stats.round, "single-loss-test", csingle);
         stats.alarmed = true;
       }
@@ -518,7 +538,7 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
                        mu_) /
                       (sigma_ / std::sqrt(n));
     stats.combined_confidence = util::normal_cdf(z1);
-    if (stats.combined_confidence >= config_.combined_threshold) {
+    if (stats.combined_confidence >= kCombinedThreshold) {
       suspect(stats.round, "combined-loss-test", stats.combined_confidence);
       stats.alarmed = true;
     }
@@ -527,15 +547,14 @@ void QueueValidator::replay_droptail(util::SimTime upto, RoundStats& stats) {
   // Suspicious-count test: under the congestion-only hypothesis, a drop
   // lands in the individually-suspicious band (csingle >= 0.5, i.e. the
   // queue probably had room) only through prediction noise, with
-  // probability at most count_test_p0. A binomial excess of such drops —
+  // probability at most kCountTestP0. A binomial excess of such drops —
   // the signature of an attack gated just below the queue limit, like
   // Fig. 6.8's 95%-full trigger — is itself a detection.
   if (learned_ && stats.drops > 0) {
     const double n = static_cast<double>(stats.drops);
-    const double p0 = config_.count_test_p0;
-    const double bound =
-        std::max(static_cast<double>(config_.count_test_min),
-                 p0 * n + config_.count_z_threshold * std::sqrt(p0 * (1 - p0) * n));
+    const double p0 = kCountTestP0;
+    const double bound = std::max(static_cast<double>(kCountTestMin),
+                                  p0 * n + kCountZThreshold * std::sqrt(p0 * (1 - p0) * n));
     if (static_cast<double>(stats.suspicious) > bound) {
       const double zc = (static_cast<double>(stats.suspicious) - p0 * n) /
                         std::sqrt(p0 * (1 - p0) * n);
@@ -612,7 +631,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
         const double csingle = util::normal_cdf((headroom - mu_) / sigma_);
         stats.max_single_confidence = std::max(stats.max_single_confidence, csingle);
         const double guard = max_entry_ps_ + 4.0 * sigma_;
-        if (csingle >= config_.single_threshold && headroom - mu_ >= guard) {
+        if (csingle >= kSingleThreshold && headroom - mu_ >= guard) {
           ++stats.suspicious;
           ++suspicious_by_[ev.from];
           suspect(stats.round, "red-single-loss-test", csingle);
@@ -646,7 +665,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
       disp = std::max(1.0, red_residual_sq_.mean());
     }
     const double zg = z_of(global) / std::sqrt(disp);
-    if (zg > config_.red_z_threshold) {
+    if (zg > kRedZThreshold) {
       suspect(stats.round, "red-global-test", util::normal_cdf(zg));
       stats.alarmed = true;
     }
@@ -654,7 +673,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
       const double raw_zf = z_of(acc);
       const double zf = raw_zf / std::sqrt(disp);
       stats.red_max_flow_z = std::max(stats.red_max_flow_z, zf);
-      if (zf > config_.red_z_threshold) {
+      if (zf > kRedZThreshold) {
         suspect(stats.round, "red-flow-test", util::normal_cdf(zf));
         stats.alarmed = true;
       }
@@ -705,7 +724,7 @@ void QueueValidator::replay_red(util::SimTime upto, RoundStats& stats) {
       }
       const double z_flow = std::max(zc, zs) / std::sqrt(disp);
       stats.red_max_flow_z = std::max(stats.red_max_flow_z, z_flow);
-      if (z_flow > config_.red_cumulative_z_threshold) {
+      if (z_flow > kRedCumulativeZThreshold) {
         suspect(stats.round, "red-cumulative-flow-test", util::normal_cdf(z_flow));
         stats.alarmed = true;
         cum = FlowCum{};  // restart accumulation after an alarm

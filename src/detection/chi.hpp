@@ -59,26 +59,6 @@ struct ChiConfig {
   util::Duration grace = util::Duration::millis(200);
   /// Rounds of trusted calibration for (mu, sigma) of qact - qpred.
   std::int64_t learning_rounds = 4;
-  /// Target significance for the single-packet test (§6.1.3).
-  double single_threshold = 0.99;
-  /// Target significance for the combined Z-test.
-  double combined_threshold = 0.999;
-  /// Z threshold for the RED per-flow / global drop-count test (per
-  /// round), applied to overdispersion-normalized z scores.
-  double red_z_threshold = 5.0;
-  /// Z threshold for the cumulative per-flow test (evidence accumulated
-  /// across rounds; catches rate-limited attacks like Fig. 6.15's 5%).
-  double red_cumulative_z_threshold = 5.0;
-  /// Suspicious-count test: H0 probability of a congestive drop looking
-  /// individually suspicious, the z threshold, and the minimum count.
-  double count_test_p0 = 0.05;
-  double count_z_threshold = 4.0;
-  std::uint64_t count_test_min = 8;
-  /// Conservation of timeliness (§2.4.1): a packet's queue sojourn can
-  /// never legitimately exceed a full queue's drain time; anything beyond
-  /// (limit drain time) * delay_slack + grace is a malicious delay.
-  double delay_slack = 1.5;
-  std::uint64_t delayed_packets_min = 3;  ///< per-round alarm threshold
   /// When enabled, ChiEngine ships every report part over a shared
   /// ack/retransmit channel (one per network), so neighbor reports
   /// survive lossy control links; `settle` must cover the retry schedule.

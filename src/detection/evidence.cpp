@@ -8,6 +8,9 @@ namespace fatih::detection {
 
 namespace {
 constexpr const char* kComponent = "conviction";
+/// Distinct precision-1 witnesses required to convict without a proof.
+/// 3 tolerates any single liar AND any colluding pair.
+constexpr std::size_t kWitnessQuorum = 3;
 
 std::uint64_t payload_key(const sim::ControlPayload& payload) {
   const auto& p = static_cast<const AccusationPayload&>(payload);
@@ -54,11 +57,9 @@ bool valid_equivocation_proof(const crypto::KeyRegistry& keys,
   return false;
 }
 
-ConvictionEngine::ConvictionEngine(sim::Network& net, const crypto::KeyRegistry& keys,
-                                   ConvictionConfig config)
+ConvictionEngine::ConvictionEngine(sim::Network& net, const crypto::KeyRegistry& keys)
     : net_(net),
       keys_(keys),
-      config_(config),
       guard_(net, keys, obs::TraceSource::kConviction, "conviction") {
   flood_ = std::make_unique<FloodService>(net_, kKindAccusation);
   flood_->set_key_fn(payload_key);
@@ -145,7 +146,7 @@ void ConvictionEngine::on_accusation(const Accusation& acc) {
   auto& voters = votes_[target];
   if (!voters.insert(acc.accuser).second) return;  // one vote per accuser
   FATIH_METRIC_REG(net_.sim().metrics(), counter("byzantine.witness_votes").inc());
-  if (voters.size() >= config_.witness_quorum) {
+  if (voters.size() >= kWitnessQuorum) {
     convict(target, acc.round, "witness-quorum",
             std::vector<util::NodeId>(voters.begin(), voters.end()));
   }

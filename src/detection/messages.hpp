@@ -57,9 +57,6 @@ struct SegmentSummary {
   std::vector<std::uint64_t> bloom_words;
   std::uint32_t bloom_hashes = 0;
 
-  [[nodiscard]] bool reconciled_form() const { return !recon_evals.empty(); }
-  [[nodiscard]] bool bloom_form() const { return !bloom_words.empty(); }
-
   /// Field-wise; for decoded summaries the same as comparing their bytes,
   /// since the codec is strictly canonical.
   bool operator==(const SegmentSummary&) const = default;

@@ -13,7 +13,27 @@ namespace fatih::detection {
 
 namespace {
 constexpr const char* kComponent = "pik2";
+/// Bloom sizing (kBloom): bits per recorded packet, and hash count.
+constexpr std::size_t kBloomBitsPerPacket = 10;
+constexpr std::uint32_t kBloomHashes = 4;
+
+/// True iff `s` is in the form this end's own `compression` produces, in
+/// the exact shape it produces it. The receiver evaluates nothing else, so
+/// a peer can neither pick the evaluator nor size its work.
+bool has_own_shape(const SegmentSummary& s, const Pik2Config& config) {
+  switch (config.compression) {
+    case SummaryCompression::kFull:
+      return s.recon_evals.empty() && s.bloom_words.empty() && s.bloom_hashes == 0;
+    case SummaryCompression::kReconcile:
+      return s.content.empty() && s.bloom_words.empty() && s.bloom_hashes == 0 &&
+             s.recon_evals.size() == config.reconcile_bound + 4;
+    case SummaryCompression::kBloom:
+      return s.content.empty() && s.recon_evals.empty() && !s.bloom_words.empty() &&
+             s.bloom_hashes == kBloomHashes;
+  }
+  return false;
 }
+}  // namespace
 
 Pik2Engine::Pik2Engine(sim::Network& net, const crypto::KeyRegistry& keys, const PathCache& paths,
                        const std::vector<util::NodeId>& terminals, Pik2Config config)
@@ -131,11 +151,11 @@ void Pik2Engine::exchange(std::int64_t round) {
         // Bloom digest (§2.4.1): size the filter for the reference rate
         // seen this round, with a floor so empty rounds stay comparable.
         const std::size_t bits = std::max<std::size_t>(
-            512, summary.content.size() * config_.bloom_bits_per_packet);
-        validation::BloomFilter filter(bits, config_.bloom_hashes);
+            512, summary.content.size() * kBloomBitsPerPacket);
+        validation::BloomFilter filter(bits, kBloomHashes);
         for (auto fp : summary.content) filter.insert(fp);
         summary.bloom_words = filter.words();
-        summary.bloom_hashes = static_cast<std::uint32_t>(config_.bloom_hashes);
+        summary.bloom_hashes = kBloomHashes;
         summary.content.clear();
       } else if (config_.compression == SummaryCompression::kReconcile) {
         // Appendix A: ship O(d) evaluations instead of O(n) fingerprints.
@@ -263,28 +283,31 @@ void Pik2Engine::evaluate(std::int64_t round) {
         continue;
       }
       const SegmentSummary& peer_summary = *peer_it->second;
-      if (peer_summary.bloom_form()) {
-        // Rebuild our own filter with the peer's shape and estimate the
+      if (!has_own_shape(peer_summary, config_)) {
+        // Well signed but not what an honest end ships: a protocol fault.
+        suspect(r, seg, round, "tv-failed");
+        continue;
+      }
+      if (config_.compression == SummaryCompression::kBloom) {
+        // Rebuild our own filter at the peer's size and estimate the
         // symmetric difference from the XOR population.
-        validation::BloomFilter mine(peer_summary.bloom_words.size() * 64,
-                                     peer_summary.bloom_hashes);
+        validation::BloomFilter mine(peer_summary.bloom_words.size() * 64, kBloomHashes);
         for (auto fp : own_it->second.content) mine.insert(fp);
-        const auto theirs = validation::BloomFilter::from_words(peer_summary.bloom_words,
-                                                                peer_summary.bloom_hashes);
+        const auto theirs =
+            validation::BloomFilter::from_words(peer_summary.bloom_words, kBloomHashes);
         const auto est = validation::BloomFilter::estimate_symmetric_difference(mine, theirs);
         const double diff = est.value_or(1e9);  // saturated filter: alarm
         const auto allowance =
             std::max(static_cast<double>(config_.thresholds.max_lost_packets),
                      config_.thresholds.max_lost_fraction *
-                         static_cast<double>(own_it->second.content.size())) +
-            static_cast<double>(config_.thresholds.max_fabricated);
-        // The estimate cannot split lost from fabricated; compare the
-        // total difference against the combined allowance (plus the
-        // estimator's own noise floor).
+                         static_cast<double>(own_it->second.content.size()));
+        // The estimate cannot split lost from fabricated (which has zero
+        // tolerance); compare the total difference against the loss
+        // allowance (plus the estimator's own noise floor).
         if (diff > allowance + 4.0) suspect(r, seg, round, "tv-failed");
         continue;
       }
-      if (peer_summary.reconciled_form()) {
+      if (config_.compression == SummaryCompression::kReconcile) {
         // Reconcile the peer's evaluations against our own content; the
         // recovered difference feeds the same thresholds.
         std::set<std::uint64_t> own_elems;
@@ -314,8 +337,7 @@ void Pik2Engine::evaluate(std::int64_t round) {
               config_.thresholds.max_lost_packets,
               static_cast<std::uint64_t>(config_.thresholds.max_lost_fraction *
                                          static_cast<double>(local.size())));
-          outcome.ok = outcome.lost <= allowance &&
-                       outcome.fabricated <= config_.thresholds.max_fabricated;
+          outcome.ok = outcome.lost <= allowance && outcome.fabricated == 0;
         }
         if (!outcome.ok) suspect(r, seg, round, "tv-failed");
         continue;

@@ -47,7 +47,7 @@ TvOutcome evaluate_tv(TvPolicy policy, const TvThresholds& thresholds, const TvV
     }
   }
   out.ok = out.lost <= loss_allowance(thresholds, upstream.packets) &&
-           out.fabricated <= thresholds.max_fabricated &&
+           out.fabricated == 0 &&
            (policy != TvPolicy::kContentOrder || out.reordered <= thresholds.max_reordered);
   return out;
 }

@@ -3,8 +3,8 @@
 //
 // Real networks lose a little traffic benignly, so TV accepts bounded loss
 // (the static-threshold compromise of §6.1.1 that Protocol chi later
-// replaces); fabrication and modification have no benign cause and default
-// to zero tolerance.
+// replaces); fabrication and modification have no benign cause and get
+// zero tolerance.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,6 @@ enum class TvPolicy {
 struct TvThresholds {
   std::uint64_t max_lost_packets = 0;  ///< absolute allowance per round
   double max_lost_fraction = 0.0;      ///< relative allowance (of upstream count)
-  std::uint64_t max_fabricated = 0;
   std::uint64_t max_reordered = 0;
 };
 

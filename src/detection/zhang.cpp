@@ -10,7 +10,10 @@ namespace fatih::detection {
 
 namespace {
 constexpr double kMeanPacketBytes = 1000.0;
-}
+/// Alarm when observed losses exceed predicted by this many standard
+/// deviations (Poisson: variance = mean).
+constexpr double kZThreshold = 4.0;
+}  // namespace
 
 ZhangDetector::ZhangDetector(sim::Network& net, const crypto::KeyRegistry& keys,
                              const PathCache& paths, util::NodeId queue_owner,
@@ -96,8 +99,7 @@ void ZhangDetector::validate(std::int64_t round) {
     // at the fitted mean rate, plus z standard deviations (Poisson:
     // variance equals the mean).
     stats.predicted_loss = predict_loss(fitted_rate_);
-    const double bound =
-        stats.predicted_loss + config_.z_threshold * std::sqrt(stats.predicted_loss + 1.0);
+    const double bound = stats.predicted_loss + kZThreshold * std::sqrt(stats.predicted_loss + 1.0);
     if (static_cast<double>(stats.lost) > bound) {
       stats.alarmed = true;
       Suspicion s;

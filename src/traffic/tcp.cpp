@@ -10,6 +10,10 @@ using sim::kFlagSyn;
 
 namespace {
 constexpr std::uint32_t kAckBytes = 0;  // pure ACK: header only
+constexpr double kInitialCwnd = 2.0;
+constexpr double kMaxCwnd = 1e9;  ///< packets; effectively the receive window
+constexpr util::Duration kMinRto = util::Duration::seconds(1);
+constexpr util::Duration kSynRto = util::Duration::seconds(3);  ///< RFC 6298 initial RTO
 
 void dispatch(sim::Network& net, util::NodeId from, const sim::Packet& p) {
   if (net.is_router(from)) {
@@ -27,8 +31,8 @@ TcpFlow::TcpFlow(sim::Network& net, util::NodeId src, util::NodeId dst, std::uin
       dst_(dst),
       flow_id_(flow_id),
       config_(config),
-      cwnd_(config.initial_cwnd),
-      rto_(config.syn_rto) {
+      cwnd_(kInitialCwnd),
+      rto_(kSynRto) {
   net_.node(src_).add_local_handler(
       [this](const sim::Packet& p, util::NodeId, util::SimTime now) {
         if (p.hdr.proto == sim::Protocol::kTcp && p.hdr.flow_id == flow_id_ &&
@@ -129,7 +133,7 @@ void TcpFlow::on_sender_packet(const sim::Packet& p, util::SimTime now) {
       const double sample = (now - start_time_).to_seconds();
       srtt_ = sample;
       rttvar_ = sample / 2.0;
-      rto_ = std::max(config_.min_rto, util::Duration::from_seconds(srtt_ + 4.0 * rttvar_));
+      rto_ = std::max(kMinRto, util::Duration::from_seconds(srtt_ + 4.0 * rttvar_));
       if (rto_armed_) {
         net_.sim().cancel(rto_event_);
         rto_armed_ = false;
@@ -175,7 +179,7 @@ void TcpFlow::on_ack(std::uint32_t cum_ack, util::SimTime now) {
     }
     // New data acknowledged: collapse any RTO backoff to the estimate.
     if (srtt_ > 0.0) {
-      rto_ = std::max(config_.min_rto, util::Duration::from_seconds(srtt_ + 4.0 * rttvar_));
+      rto_ = std::max(kMinRto, util::Duration::from_seconds(srtt_ + 4.0 * rttvar_));
     }
 
     if (!in_recovery_) {
@@ -186,7 +190,7 @@ void TcpFlow::on_ack(std::uint32_t cum_ack, util::SimTime now) {
           cwnd_ += 1.0 / cwnd_;  // congestion avoidance
         }
       }
-      cwnd_ = std::min(cwnd_, config_.max_cwnd);
+      cwnd_ = std::min(cwnd_, kMaxCwnd);
     }
 
     if (completed()) {

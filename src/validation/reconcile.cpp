@@ -211,7 +211,7 @@ std::optional<ReconcileResult> reconcile(std::span<const std::uint64_t> local,
                                          std::size_t remote_count,
                                          std::span<const std::uint64_t> points,
                                          std::size_t d_bound) {
-  assert(remote_evals.size() == points.size());
+  if (remote_evals.size() != points.size()) return std::nullopt;  // not our points
   const auto local_evals = char_poly_evaluations(local, points);
 
   // f_i = chi_A(z_i) / chi_B(z_i); skip points colliding with an element.

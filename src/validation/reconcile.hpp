@@ -59,7 +59,8 @@ struct ReconcileResult {
 /// `d_bound`      — upper bound on |A symdiff B|.
 ///
 /// Returns nullopt when the difference exceeds the bound (caller should
-/// retry with more points, as Appendix A prescribes).
+/// retry with more points, as Appendix A prescribes), or when
+/// `remote_evals` and `points` differ in length.
 [[nodiscard]] std::optional<ReconcileResult> reconcile(std::span<const std::uint64_t> local,
                                                        std::span<const std::uint64_t> remote_evals,
                                                        std::size_t remote_count,

@@ -179,7 +179,7 @@ struct DiamondNet {
   std::unique_ptr<ConvictionEngine> conviction;
   std::vector<std::unique_ptr<traffic::CbrSource>> sources;
 
-  explicit DiamondNet(ConvictionConfig ccfg = {}) {
+  DiamondNet() {
     for (int i = 0; i < 4; ++i) net.add_router(std::string("r").append(std::to_string(i)));
     for (auto [a, b] : {std::pair<NodeId, NodeId>{0, 1}, {0, 2}, {1, 3}, {2, 3}}) {
       net.connect(a, b, testing::fast_link());
@@ -190,7 +190,7 @@ struct DiamondNet {
     for (NodeId i = 0; i < 4; ++i) {
       net.router(i).set_processing_delay(Duration::micros(20), Duration::micros(10));
     }
-    conviction = std::make_unique<ConvictionEngine>(net, keys, ccfg);
+    conviction = std::make_unique<ConvictionEngine>(net, keys);
   }
 
   /// Files an evidence-free accusation inside the simulation.

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <utility>
+
 #include "attacks/attacks.hpp"
 #include "detection/spec.hpp"
+#include "obs/metrics.hpp"
 #include "tests/detection/test_net.hpp"
 
 namespace fatih::detection {
@@ -313,6 +318,76 @@ TEST(Pik2, BenignLossWithinThresholdTolerated) {
   engine.start();
   line.net.sim().run_until(SimTime::from_seconds(6));
   EXPECT_TRUE(engine.suspicions().empty());
+}
+
+// A well-signed summary from a protocol-faulty end (r5) that is not in the
+// receiver's own form and shape is a TV failure of that segment and round:
+// the receiver (r3, default kFull) never evaluates it with the sender's
+// parameters. Each case below is a lie that a receiver trusting the peer's
+// form would read out of bounds, pass, or stall on.
+struct MalformedPeerRun {
+  std::set<std::pair<routing::PathSegment, std::int64_t>> shipped;  ///< by r5
+  std::set<std::pair<routing::PathSegment, std::int64_t>> failed;   ///< tv-failed at r3
+  std::size_t other_suspicions = 0;  ///< any suspicion of a segment without r5
+  obs::MetricsRegistry metrics;
+};
+
+void run_with_malformed_peer(MalformedPeerRun& out,
+                             const std::function<void(SegmentSummary&)>& lie) {
+  const auto cfg = fast_config();
+  Pik2Fixture f(cfg);
+  f.line.net.sim().set_metrics(&out.metrics);
+  f.engine->set_report_mutator(5, [&out, &lie](SegmentSummary& s) {
+    lie(s);
+    out.shipped.emplace(s.segment, s.round);
+    return true;
+  });
+  f.run();
+  for (const auto& s : f.engine->suspicions()) {
+    if (!s.segment.contains(5)) ++out.other_suspicions;
+    if (s.reporter == 3 && s.cause == "tv-failed") {
+      out.failed.emplace(s.segment, cfg.clock.round_of(s.interval.begin));
+    }
+  }
+}
+
+TEST(Pik2PeerForm, OneReconcileEvaluationIsTvFailureAndNeverReconciled) {
+  // Reconciling one evaluation against reconcile_bound + 4 points would
+  // read past the peer's vector.
+  MalformedPeerRun run;
+  run_with_malformed_peer(run, [](SegmentSummary& s) { s.recon_evals = {1}; });
+  ASSERT_FALSE(run.shipped.empty());
+  EXPECT_EQ(run.failed, run.shipped);
+  EXPECT_EQ(run.other_suspicions, 0U);
+  EXPECT_EQ(run.metrics.find_counter("reconcile.calls"), nullptr);
+}
+
+TEST(Pik2PeerForm, ZeroHashBloomDigestIsTvFailure) {
+  // With bloom_hashes = 0 the Bloom estimate is 0/0 = NaN, which no
+  // allowance comparison flags.
+  MalformedPeerRun run;
+  run_with_malformed_peer(run, [](SegmentSummary& s) {
+    s.content.clear();
+    s.bloom_words = {0};
+    s.bloom_hashes = 0;
+  });
+  ASSERT_FALSE(run.shipped.empty());
+  EXPECT_EQ(run.failed, run.shipped);
+  EXPECT_EQ(run.other_suspicions, 0U);
+}
+
+TEST(Pik2PeerForm, HugeBloomHashCountIsTvFailureWithoutEvaluation) {
+  // Rebuilding the receiver's filter with a million hashes per fingerprint
+  // takes seconds, and it would then saturate to match this all-ones one.
+  MalformedPeerRun run;
+  run_with_malformed_peer(run, [](SegmentSummary& s) {
+    s.content.clear();
+    s.bloom_words = {~0ULL};
+    s.bloom_hashes = 1'000'000;
+  });
+  ASSERT_FALSE(run.shipped.empty());
+  EXPECT_EQ(run.failed, run.shipped);
+  EXPECT_EQ(run.other_suspicions, 0U);
 }
 
 }  // namespace

@@ -138,6 +138,20 @@ TEST(Reconcile, BoundExceededReturnsNull) {
   EXPECT_FALSE(reconcile(b, a_evals, a.size(), points, 10).has_value());
 }
 
+TEST(Reconcile, EvaluationCountMismatchReturnsNull) {
+  // Evaluations at fewer (or more) points than agreed are not a summary
+  // of ours to reconcile: rejected before any point is read.
+  const std::vector<std::uint64_t> set{to_field(1), to_field(2), to_field(3)};
+  const auto points = evaluation_points(12);
+  const auto evals = char_poly_evaluations(set, points);
+  const std::vector<std::uint64_t> one{evals.front()};
+  EXPECT_FALSE(reconcile(set, one, set.size(), points, 8).has_value());
+  std::vector<std::uint64_t> extra = evals;
+  extra.push_back(7);
+  EXPECT_FALSE(reconcile(set, extra, set.size(), points, 8).has_value());
+  EXPECT_TRUE(reconcile(set, evals, set.size(), points, 8).has_value());
+}
+
 TEST(Reconcile, BandwidthIsBoundedByDifference) {
   // The whole point of Appendix A: shipping d+slack field elements,
   // independent of |A| (here |A| = 5000 but we only send 12 evals).
